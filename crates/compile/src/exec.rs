@@ -1,25 +1,30 @@
 //! Execution of compiled plans on the CPU.
 //!
-//! Fragments run their work items data-parallel (chunks of contiguous
-//! runs per worker, each producing its own output segments — no
-//! synchronization inside a kernel, mirroring the ε padding argument of
-//! §2.2). Bulk units implement `Scatter`, `Partition` and the two fused
-//! patterns (virtual-scatter group aggregation, vectorized selection).
+//! Fragments run their work items data-parallel (each morsel producing
+//! its own output segments — no synchronization inside a kernel,
+//! mirroring the ε padding argument of §2.2). Bulk units implement
+//! `Scatter`, `Partition` and the two fused patterns (virtual-scatter
+//! group aggregation, vectorized selection).
 //!
-//! **Morsel-driven intra-statement parallelism**: when [`ExecOptions::
-//! parallelism`] resolves to more than one thread, the hot kernels — the
-//! global-run fragments (selection emission, folds, elementwise maps),
-//! vectorized selection, the fused grouped aggregation and the
-//! expression side of scatters (the build side of joins) — slice their
-//! domain into [`voodoo_storage::Partitioning`] morsels (over-decomposed
-//! by [`ExecOptions::steal_grain`] so skew can rebalance), submit them
-//! to the **persistent work-stealing pool** ([`crate::pool`] — no
-//! per-unit thread spawns anywhere in this module), and merge the
-//! partials **in morsel order**, so results are bit-identical to the
-//! serial path (the interpreter remains the independent oracle) no
-//! matter which worker ran which morsel. Floating-point `Sum` folds
-//! stay serial: float addition is not associative, and bit-identity
-//! outranks speedup here.
+//! **One morsel driver.** Every hot kernel — fragments (selection
+//! emission, folds, elementwise maps, per-run folds), vectorized
+//! selection, the fused grouped aggregation and the expression side of
+//! scatters (the build side of joins) — has exactly one per-range
+//! function and one merge. A single layout decision
+//! (`Executor::layout`) cuts the kernel's domain into
+//! [`voodoo_storage::Partitioning`] morsels: over-decomposed by
+//! [`voodoo_storage::DEFAULT_STEAL_GRAIN`] for the **persistent
+//! work-stealing pool** ([`crate::pool`] — no per-unit thread spawns
+//! anywhere in this module) when [`ExecOptions::parallelism`] resolves
+//! to more than one thread, the domain is large enough and the
+//! analyzer's verdict allows it; one morsel otherwise. Serial execution
+//! *is* the one-morsel case, run inline on the calling thread. The
+//! driver returns partials **in morsel order** and each merge folds
+//! them left to right, so results are bit-identical for any morsel
+//! count (the interpreter remains the independent oracle) no matter
+//! which worker ran which morsel. Floating-point `Sum` folds and prefix
+//! scans stay at one morsel: float addition is not associative, and
+//! bit-identity outranks speedup here.
 //!
 //! The executor exposes the paper's physical tuning flags (§4): predicated
 //! vs. branching position emission, and event counting for the GPU model.
@@ -32,7 +37,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use voodoo_core::{
-    AggKind, BinOp, Column, Op, Result, ScalarType, ScalarValue, StructuredVector, VRef,
+    AggKind, BinOp, Column, KeyPath, Op, Result, ScalarType, ScalarValue, StructuredVector, VRef,
     VoodooError,
 };
 use voodoo_interp::ExecOutput;
@@ -45,22 +50,21 @@ use crate::plan::{
 use crate::profile::EventProfile;
 use crate::repr::MatVec;
 
-/// One morsel's (or the serial range's) partial grouped aggregation:
-/// bucket counts, the single key seen per bucket, per-fold accumulators.
+/// One morsel's partial grouped aggregation: bucket counts, the single
+/// key seen per bucket, per-fold accumulators.
 struct GroupPartial {
     counts: Vec<usize>,
     first_key: Vec<Option<Option<i64>>>,
     accs: Vec<Vec<Option<ScalarValue>>>,
     mismatch: bool,
-    profile: EventProfile,
 }
 
 /// Upper bound on what [`Parallelism::Auto`] resolves to: past this,
 /// morsel merge overhead beats marginal cores for these kernel sizes.
 pub const MAX_AUTO_THREADS: usize = 8;
 
-/// Domains below this many elements run serially by default: scoped
-/// thread spawn costs more than the scan. Override with
+/// Domains below this many elements run as one morsel by default: a
+/// pool hand-off costs more than the scan. Override with
 /// [`ExecOptions::min_parallel_domain`] (tests pin it to 1 to exercise
 /// partition boundaries on tiny inputs).
 pub const DEFAULT_MIN_PARALLEL_DOMAIN: usize = 4096;
@@ -198,14 +202,9 @@ pub struct ExecOptions {
     /// Intra-statement morsel parallelism for fragment and bulk kernels.
     pub parallelism: Parallelism,
     /// Smallest domain worth fanning out
-    /// ([`DEFAULT_MIN_PARALLEL_DOMAIN`]); smaller domains run serially.
+    /// ([`DEFAULT_MIN_PARALLEL_DOMAIN`]); smaller domains run as one
+    /// morsel.
     pub min_parallel_domain: usize,
-    /// Morsels offered to the stealing pool *per resolved worker*
-    /// ([`voodoo_storage::DEFAULT_STEAL_GRAIN`]): fan-out is
-    /// `effective_threads × steal_grain` morsels, giving idle pool
-    /// workers spare units to steal when a morsel runs long. `1`
-    /// restores the static one-morsel-per-worker split.
-    pub steal_grain: usize,
 }
 
 impl Default for ExecOptions {
@@ -215,7 +214,6 @@ impl Default for ExecOptions {
             count_events: false,
             parallelism: Parallelism::Off,
             min_parallel_domain: DEFAULT_MIN_PARALLEL_DOMAIN,
-            steal_grain: DEFAULT_STEAL_GRAIN,
         }
     }
 }
@@ -226,29 +224,6 @@ impl ExecOptions {
     pub fn effective_threads(&self) -> usize {
         self.parallelism.effective()
     }
-
-    /// Whether `domain` is worth partitioning under these options.
-    fn worth_partitioning(&self, domain: usize) -> bool {
-        domain >= self.min_parallel_domain.max(2)
-    }
-
-    /// Slice a domain for the stealing pool: `workers × steal_grain`
-    /// morsels (see [`voodoo_storage::Partitioning::for_stealing`]).
-    fn stealing_parts(&self, domain: usize, workers: usize) -> Partitioning {
-        Partitioning::for_stealing(domain, workers, self.steal_grain)
-    }
-}
-
-/// Run indexed morsel tasks on the current thread's persistent pool
-/// ([`crate::pool::current`]), returning results in task (= morsel)
-/// order. The single shared entry point of every partition-parallel
-/// kernel: no execution unit spawns threads of its own.
-fn run_on_pool<T, F>(tasks: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    crate::pool::current().run(tasks)
 }
 
 /// Executes compiled programs.
@@ -323,9 +298,8 @@ impl Executor {
             returns.push(self.expanded(cp, &values, *r)?);
         }
         let mut persisted = Vec::new();
-        for (i, stmt) in cp.program.stmts().iter().enumerate() {
+        for stmt in cp.program.stmts() {
             if let Op::Persist { name, v } = &stmt.op {
-                let _ = i;
                 persisted.push((name.clone(), self.expanded(cp, &values, *v)?));
             }
         }
@@ -346,9 +320,89 @@ impl Executor {
     }
 
     // ------------------------------------------------------------------
+    // The morsel driver
+    // ------------------------------------------------------------------
+
+    /// The single layout decision of every morsel-driven kernel: cut
+    /// `units` (elements, runs or chunks — whatever the kernel never
+    /// splits) into stealing-grain morsels when more than one thread is
+    /// in effect, the kernel's `elements` reach
+    /// [`ExecOptions::min_parallel_domain`], and the analyzer's verdict
+    /// (`parallel_ok`) lets the partials merge bit-identically; into one
+    /// morsel otherwise (zero for an empty domain).
+    fn layout(&self, units: usize, elements: usize, parallel_ok: bool) -> Partitioning {
+        let threads = self.opts.effective_threads();
+        if threads > 1 && parallel_ok && elements >= self.opts.min_parallel_domain.max(2) {
+            Partitioning::for_stealing(units, threads, DEFAULT_STEAL_GRAIN)
+        } else {
+            Partitioning::for_len(units, 1)
+        }
+    }
+
+    /// A fresh expression environment under these options.
+    fn env<'a>(&self, cp: &CompiledProgram, sources: &'a [Option<Arc<MatVec>>]) -> Env<'a> {
+        Env::new(
+            sources,
+            self.opts.count_events,
+            cp.branch_sites,
+            cp.gather_sites,
+        )
+        .with_predication(self.opts.predicated_select)
+    }
+
+    /// The morsel driver: run `body` once per morsel of `parts`, each
+    /// with its own environment, and return the partials in morsel
+    /// order, merging each morsel's event profile into `profile`. A
+    /// single morsel runs inline on the calling thread; more go to the
+    /// current thread's persistent pool ([`crate::pool::current`]).
+    fn drive<T, F>(
+        &self,
+        cp: &CompiledProgram,
+        sources: &[Option<Arc<MatVec>>],
+        parts: &Partitioning,
+        profile: &mut EventProfile,
+        body: F,
+    ) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(Morsel, &mut Env<'_>) -> T + Sync,
+    {
+        let task = |m: Morsel| {
+            let mut env = self.env(cp, sources);
+            let out = body(m, &mut env);
+            (out, env.profile)
+        };
+        let results: Vec<(T, EventProfile)> = if parts.count() <= 1 {
+            parts.morsels().iter().map(|&m| task(m)).collect()
+        } else {
+            note_partitions(parts.count());
+            let task = &task;
+            crate::pool::current().run(parts.morsels().iter().map(|&m| move || task(m)).collect())
+        };
+        results
+            .into_iter()
+            .map(|(out, p)| {
+                profile.merge(&p);
+                out
+            })
+            .collect()
+    }
+
+    // ------------------------------------------------------------------
     // Fragments
     // ------------------------------------------------------------------
 
+    /// Execute a fragment as morsels of whole units and merge them in
+    /// morsel order. Merge rules per output:
+    /// * a global-run `FoldAggAct` — combine the per-morsel accumulators
+    ///   left to right (only folds the analyzer proved associative ever
+    ///   see more than one morsel, so the regrouping is exact);
+    /// * a global-run `SelectEmit` — concatenate each morsel's compacted
+    ///   position prefix (positions are emitted in ascending order within
+    ///   a morsel, so the concatenation is exactly the serial ordering),
+    ///   ε-padding the tail — the §2.2 padding argument is what makes
+    ///   the morsels independent;
+    /// * everything else — stitch the morsel segments by offset.
     fn exec_fragment(
         &self,
         cp: &CompiledProgram,
@@ -377,99 +431,30 @@ impl Executor {
             RunStructure::Single => (frag.domain as u64 / 1024).max(1),
         };
         let domain = frag.domain;
-        let threads = self.opts.effective_threads();
-        // Morsel path for global (Single) runs — the hot kernels of
-        // selection, fold and fused map fragments. Whether every fused
-        // action merges across morsels (writes and position emission
-        // concatenate, integer folds combine associatively, float folds
-        // and prefix scans do not) is a verified program property: the
-        // static analyzer classified each statement at prepare, and the
-        // executor only consults the verdicts.
-        if matches!(frag.run, RunStructure::Single)
-            && threads > 1
-            && self.opts.worth_partitioning(domain)
-            && frag
-                .actions
-                .iter()
-                .all(|a| cp.action_verdict(frag, a).morsel_mergeable())
-        {
-            let parts = self.opts.stealing_parts(domain, threads);
-            if parts.count() > 1 {
-                return self.exec_fragment_morsels(cp, frag, values, profile, &parts);
-            }
-        }
-        // Chunk boundaries (in runs for folds, elements for maps).
-        let chunks: Vec<(usize, usize)> = match &frag.run {
-            RunStructure::Map | RunStructure::Uniform(_) => {
-                let run_len = match frag.run {
-                    RunStructure::Uniform(l) => l,
-                    _ => 1,
-                };
-                let total_runs = if domain == 0 {
-                    0
-                } else {
-                    domain.div_ceil(run_len)
-                };
-                // Tiny domains run serially here too: a pool handoff
-                // costs more than the scan (the same
-                // `min_parallel_domain` gate the morsel paths apply).
-                // Parallel chunk counts are over-decomposed by the
-                // steal grain like every other morsel path.
-                let workers = if threads > 1 && self.opts.worth_partitioning(domain) {
-                    threads
-                        .saturating_mul(self.opts.steal_grain.max(1))
-                        .min(total_runs.max(1))
-                } else {
-                    1
-                };
-                let per = total_runs.div_ceil(workers.max(1)).max(1);
-                (0..workers)
-                    .map(|w| (w * per, ((w + 1) * per).min(total_runs)))
-                    .filter(|(s, e)| s < e)
-                    .collect()
-            }
-            RunStructure::Single | RunStructure::Dynamic(_) => {
-                if domain == 0 {
-                    vec![]
-                } else {
-                    vec![(0, 1)]
-                }
-            }
-        };
-        if chunks.len() > 1 {
-            note_partitions(chunks.len());
-        }
-
-        let sources: &[Option<Arc<MatVec>>] = values;
-        let run_worker = |run_range: (usize, usize)| -> (Vec<Column>, EventProfile) {
-            self.run_chunk(cp, frag, run_range, sources)
-        };
-
-        let mut per_chunk: Vec<Vec<Column>> = Vec::with_capacity(chunks.len());
-        if chunks.len() <= 1 {
-            for c in &chunks {
-                let (segs, prof) = run_worker(*c);
-                profile.merge(&prof);
-                per_chunk.push(segs);
-            }
-        } else {
-            let run_worker = &run_worker;
-            let results = run_on_pool(
-                chunks
+        let single = matches!(frag.run, RunStructure::Single);
+        // The morsel unit: whole runs of a Map/Uniform structure (never
+        // split, so every action is safe to cut between runs), elements
+        // of the global run (safe when every fused action merges across
+        // morsels — a verified program property: the analyzer classified
+        // each statement at prepare), and the whole domain of a dynamic
+        // run.
+        let (unit_len, parallel_ok) = match &frag.run {
+            RunStructure::Map => (1, true),
+            RunStructure::Uniform(l) => (*l, true),
+            RunStructure::Single => (
+                1,
+                frag.actions
                     .iter()
-                    .map(|c| {
-                        let c = *c;
-                        move || run_worker(c)
-                    })
-                    .collect(),
-            );
-            for (segs, prof) in results {
-                profile.merge(&prof);
-                per_chunk.push(segs);
-            }
-        }
+                    .all(|a| cp.action_verdict(frag, a).morsel_mergeable()),
+            ),
+            RunStructure::Dynamic(_) => (domain.max(1), false),
+        };
+        let parts = self.layout(domain.div_ceil(unit_len), domain, parallel_ok);
+        let partials = self.drive(cp, values, &parts, profile, |m, env| {
+            let range = (m.start * unit_len, (m.end * unit_len).min(domain));
+            self.run_fragment_range(frag, range, env)
+        });
 
-        // Stitch segments and wrap per statement.
         let run_len = match frag.run {
             RunStructure::Uniform(l) => l,
             RunStructure::Map => 1,
@@ -478,95 +463,18 @@ impl Executor {
         for (oi, spec) in frag.outputs.iter().enumerate() {
             let full_len = full_len_of(spec.layout, domain, run_len);
             let mut col = Column::empties(spec.ty, full_len);
-            let mut off = 0usize;
-            for segs in &per_chunk {
-                let seg = &segs[oi];
-                for i in 0..seg.len() {
-                    match seg.get(i) {
-                        Some(v) => col.set(off + i, v),
-                        None => col.clear(off + i),
-                    }
-                }
-                off += seg.len();
-            }
-            if self.opts.count_events {
-                profile.write_bytes += (full_len * spec.ty.byte_width()) as u64;
-            }
-            let bounds = if chunks.len() > 1 && matches!(spec.layout, Layout::Full) {
-                // Record the chunk fence posts (in elements) this output
-                // was produced across — the §2.3 layout metadata.
-                let chunk_run_len = match frag.run {
-                    RunStructure::Uniform(l) => l,
-                    _ => 1,
-                };
-                let mut b: Vec<usize> = chunks.iter().map(|(s, _)| s * chunk_run_len).collect();
-                b.push(domain);
-                Some(b)
-            } else {
-                None
-            };
-            attach_fragment_output(values, spec, col, full_len, run_len, domain, bounds);
-        }
-        Ok(())
-    }
-
-    /// Execute a global-run fragment partition-parallel: fan the domain's
-    /// morsels across a scoped worker pool, then merge partials in morsel
-    /// order so the result is bit-identical to the serial path.
-    ///
-    /// Merge rules per output:
-    /// * `Write` (elementwise) — stitch the morsel segments by offset;
-    /// * `SelectEmit` — concatenate each morsel's compacted position
-    ///   prefix (positions are emitted in ascending order within a
-    ///   morsel, so the concatenation is exactly the serial ordering),
-    ///   ε-padding the tail — the §2.2 padding argument is what makes
-    ///   the morsels independent;
-    /// * `FoldAggAct` — combine the per-morsel accumulators left-to-right
-    ///   (integer folds only reach this path, so the regrouping is exact).
-    fn exec_fragment_morsels(
-        &self,
-        cp: &CompiledProgram,
-        frag: &Fragment,
-        values: &mut [Option<Arc<MatVec>>],
-        profile: &mut EventProfile,
-        parts: &Partitioning,
-    ) -> Result<()> {
-        let domain = frag.domain;
-        let morsels = parts.morsels();
-        note_partitions(morsels.len());
-        let sources: &[Option<Arc<MatVec>>] = values;
-        let run_worker = |m: Morsel| -> (Vec<Column>, Vec<Option<ScalarValue>>, EventProfile) {
-            self.run_morsel(cp, frag, (m.start, m.end), sources)
-        };
-        let run_worker = &run_worker;
-        let results: Vec<(Vec<Column>, Vec<Option<ScalarValue>>, EventProfile)> = run_on_pool(
-            morsels
-                .iter()
-                .map(|m| {
-                    let m = *m;
-                    move || run_worker(m)
-                })
-                .collect(),
-        );
-        for (_, _, prof) in &results {
-            profile.merge(prof);
-        }
-
-        let run_len = domain.max(1); // Single: the whole domain is one run.
-        for (oi, spec) in frag.outputs.iter().enumerate() {
             let fold_action = frag.actions.iter().enumerate().find_map(|(ai, a)| match a {
-                Action::FoldAggAct { out, agg, .. } if *out == oi => Some((ai, *agg)),
+                Action::FoldAggAct { out, agg, .. } if single && *out == oi => Some((ai, *agg)),
                 _ => None,
             });
-            let is_select = frag
-                .actions
-                .iter()
-                .any(|a| matches!(a, Action::SelectEmit { out, .. } if *out == oi));
-            let full_len = full_len_of(spec.layout, domain, run_len);
-            let mut col = Column::empties(spec.ty, full_len);
+            let is_select = single
+                && frag
+                    .actions
+                    .iter()
+                    .any(|a| matches!(a, Action::SelectEmit { out, .. } if *out == oi));
             if let Some((ai, agg)) = fold_action {
                 let mut acc: Option<ScalarValue> = None;
-                for (_, accs, _) in &results {
+                for (_, accs) in &partials {
                     if let Some(v) = accs[ai] {
                         acc = Some(match acc {
                             None => v,
@@ -579,7 +487,7 @@ impl Executor {
                 }
             } else if is_select {
                 let mut off = 0usize;
-                for (segs, _, _) in &results {
+                for (segs, _) in &partials {
                     let seg = &segs[oi];
                     for i in 0..seg.len() {
                         match seg.get(i) {
@@ -595,7 +503,7 @@ impl Executor {
                 }
             } else {
                 let mut off = 0usize;
-                for (segs, _, _) in &results {
+                for (segs, _) in &partials {
                     let seg = &segs[oi];
                     for i in 0..seg.len() {
                         match seg.get(i) {
@@ -609,173 +517,121 @@ impl Executor {
             if self.opts.count_events {
                 profile.write_bytes += (full_len * spec.ty.byte_width()) as u64;
             }
-            let bounds = matches!(spec.layout, Layout::Full).then(|| parts.boundaries());
-            attach_fragment_output(values, spec, col, full_len, run_len, domain, bounds);
+            // Attach the column to (or create) its statement's vector,
+            // recording the morsel fence posts (in elements) a Full
+            // output was produced across — the §2.3 layout metadata.
+            let existing = values[spec.stmt.index()].take();
+            let mut sv = match existing {
+                Some(m) => m.storage().clone(),
+                None => StructuredVector::with_len(full_len),
+            };
+            sv.insert(spec.kp.clone(), col);
+            if parts.count() > 1 && matches!(spec.layout, Layout::Full) {
+                let bounds = parts.boundaries().into_iter();
+                sv.set_partition_bounds(bounds.map(|b| (b * unit_len).min(domain)).collect());
+            }
+            let wrapped = match spec.layout {
+                Layout::Full => MatVec::Full(sv),
+                Layout::Dense => MatVec::FoldDense {
+                    values: sv,
+                    run_len,
+                    orig_len: domain,
+                },
+            };
+            values[spec.stmt.index()] = Some(Arc::new(wrapped));
         }
         Ok(())
     }
 
-    /// Execute one morsel of a global-run fragment: the serial `step`
-    /// loop over `[s, e)` with morsel-local segments, accumulators and
-    /// cursors. Fold partials come back separately (the caller merges
-    /// them); selection output is the morsel's compact position prefix.
-    fn run_morsel(
+    /// Execute one morsel `[s, e)` of a fragment (whole units, in
+    /// elements), producing its output segments: a `Full` segment per
+    /// element, a `Dense` slot per complete run. A global run is cut at
+    /// the morsel itself, and its fold partials come back as the
+    /// accumulators for the caller's merge.
+    fn run_fragment_range(
         &self,
-        cp: &CompiledProgram,
         frag: &Fragment,
         (s, e): (usize, usize),
-        sources: &[Option<Arc<MatVec>>],
-    ) -> (Vec<Column>, Vec<Option<ScalarValue>>, EventProfile) {
-        let mut env = Env::new(
-            sources,
-            self.opts.count_events,
-            cp.branch_sites,
-            cp.gather_sites,
-        )
-        .with_predication(self.opts.predicated_select);
+        env: &mut Env<'_>,
+    ) -> (Vec<Column>, Vec<Option<ScalarValue>>) {
+        let run_len = match frag.run {
+            RunStructure::Uniform(l) => l,
+            RunStructure::Map => 1,
+            _ => e - s,
+        };
+        let single = matches!(frag.run, RunStructure::Single);
         let mut segs: Vec<Column> = frag
             .outputs
             .iter()
             .map(|spec| match spec.layout {
                 Layout::Full => Column::empties(spec.ty, e - s),
-                // Dense outputs are fold results; the accumulators carry
-                // them, so the segment stays empty.
-                Layout::Dense => Column::empties(spec.ty, 0),
+                // Global-run fold results travel in the accumulators.
+                Layout::Dense if single => Column::empties(spec.ty, 0),
+                Layout::Dense => Column::empties(spec.ty, (e - s).div_ceil(run_len)),
             })
             .collect();
         let mut accs: Vec<Option<ScalarValue>> = vec![None; frag.actions.len()];
         let mut cursors: Vec<usize> = vec![s; frag.actions.len()];
-        for i in s..e {
-            self.step(frag, i, s, &mut segs, &mut accs, &mut cursors, &mut env);
-        }
-        // Fix predicated selection tails, as the serial run flush does.
-        for (ai, action) in frag.actions.iter().enumerate() {
-            if let Action::SelectEmit { out, .. } = action {
-                if self.opts.predicated_select && cursors[ai] < e {
-                    segs[*out].clear(cursors[ai] - s);
-                }
-            }
-        }
-        let profile = env.profile;
-        (segs, accs, profile)
-    }
 
-    /// Execute one chunk of runs, producing output segments.
-    fn run_chunk(
-        &self,
-        cp: &CompiledProgram,
-        frag: &Fragment,
-        (run_s, run_e): (usize, usize),
-        sources: &[Option<Arc<MatVec>>],
-    ) -> (Vec<Column>, EventProfile) {
-        let mut env = Env::new(
-            sources,
-            self.opts.count_events,
-            cp.branch_sites,
-            cp.gather_sites,
-        )
-        .with_predication(self.opts.predicated_select);
-        let domain = frag.domain;
-        let run_len = match frag.run {
-            RunStructure::Uniform(l) => l,
-            RunStructure::Map => 1,
-            _ => domain.max(1),
-        };
-        let elem_s = run_s * run_len;
-        let elem_e = (run_e * run_len).min(domain);
-
-        let mut segs: Vec<Column> = frag
-            .outputs
-            .iter()
-            .map(|spec| match spec.layout {
-                Layout::Full => Column::empties(spec.ty, elem_e - elem_s),
-                Layout::Dense => Column::empties(spec.ty, run_e - run_s),
-            })
-            .collect();
-
-        match &frag.run {
-            RunStructure::Map | RunStructure::Uniform(_) | RunStructure::Single => {
-                let mut accs: Vec<Option<ScalarValue>> = vec![None; frag.actions.len()];
-                let mut cursors: Vec<usize> = vec![0; frag.actions.len()];
-                for r in run_s..run_e {
-                    let (s, e) = match frag.run {
-                        RunStructure::Single => (0, domain),
-                        _ => (r * run_len, ((r + 1) * run_len).min(domain)),
-                    };
-                    for a in accs.iter_mut() {
-                        *a = None;
-                    }
-                    for (ai, _) in frag.actions.iter().enumerate() {
-                        cursors[ai] = s;
-                    }
-                    for i in s..e {
-                        self.step(
-                            frag,
-                            i,
-                            elem_s,
-                            &mut segs,
-                            &mut accs,
-                            &mut cursors,
-                            &mut env,
-                        );
-                    }
-                    // Flush folds at run slot, fix predicated tails.
-                    for (ai, action) in frag.actions.iter().enumerate() {
-                        match action {
-                            Action::FoldAggAct { out, .. } => {
-                                if let Some(v) = accs[ai] {
-                                    segs[*out].set(r - run_s, v);
-                                }
-                            }
-                            Action::SelectEmit { out, .. }
-                                if self.opts.predicated_select && cursors[ai] < e =>
-                            {
-                                segs[*out].clear(cursors[ai] - elem_s);
-                            }
-                            _ => {}
+        if let RunStructure::Dynamic(ctrl) = &frag.run {
+            let mut run_start = s;
+            let mut current: Option<ScalarValue> = None;
+            let flush = |segs: &mut Vec<Column>,
+                         accs: &mut Vec<Option<ScalarValue>>,
+                         run_start: usize,
+                         actions: &[Action]| {
+                for (ai, action) in actions.iter().enumerate() {
+                    if let Action::FoldAggAct { out, .. } = action {
+                        if let Some(v) = accs[ai] {
+                            segs[*out].set(run_start - s, v);
                         }
+                        accs[ai] = None;
                     }
                 }
-            }
-            RunStructure::Dynamic(ctrl) => {
-                let mut accs: Vec<Option<ScalarValue>> = vec![None; frag.actions.len()];
-                let mut cursors: Vec<usize> = vec![0; frag.actions.len()];
-                let mut run_start = 0usize;
-                let mut current: Option<ScalarValue> = None;
-                let flush = |segs: &mut Vec<Column>,
-                             accs: &mut Vec<Option<ScalarValue>>,
-                             run_start: usize,
-                             actions: &[Action]| {
-                    for (ai, action) in actions.iter().enumerate() {
-                        if let Action::FoldAggAct { out, .. } = action {
-                            if let Some(v) = accs[ai] {
-                                segs[*out].set(run_start, v);
-                            }
-                            accs[ai] = None;
-                        }
-                    }
-                };
-                for i in 0..domain {
-                    let cv = ctrl.eval(i, &mut env);
-                    if i == 0 {
-                        current = cv;
-                    } else if cv != current {
-                        flush(&mut segs, &mut accs, run_start, &frag.actions);
-                        run_start = i;
-                        current = cv;
-                        for (ai, _) in frag.actions.iter().enumerate() {
-                            cursors[ai] = i;
-                        }
-                    }
-                    self.step(frag, i, 0, &mut segs, &mut accs, &mut cursors, &mut env);
-                }
-                if domain > 0 {
+            };
+            for i in s..e {
+                let cv = ctrl.eval(i, env);
+                if i == s {
+                    current = cv;
+                } else if cv != current {
                     flush(&mut segs, &mut accs, run_start, &frag.actions);
+                    run_start = i;
+                    current = cv;
+                    cursors.fill(i);
+                }
+                self.step(frag, i, s, &mut segs, &mut accs, &mut cursors, env);
+            }
+            if e > s {
+                flush(&mut segs, &mut accs, run_start, &frag.actions);
+            }
+            return (segs, accs);
+        }
+
+        for (slot, rs) in (s..e).step_by(run_len.max(1)).enumerate() {
+            let re = (rs + run_len).min(e);
+            accs.fill(None);
+            cursors.fill(rs);
+            for i in rs..re {
+                self.step(frag, i, s, &mut segs, &mut accs, &mut cursors, env);
+            }
+            // Flush per-run folds at their run slot, fix predicated tails.
+            for (ai, action) in frag.actions.iter().enumerate() {
+                match action {
+                    Action::FoldAggAct { out, .. } if !single => {
+                        if let Some(v) = accs[ai] {
+                            segs[*out].set(slot, v);
+                        }
+                    }
+                    Action::SelectEmit { out, .. }
+                        if self.opts.predicated_select && cursors[ai] < re =>
+                    {
+                        segs[*out].clear(cursors[ai] - s);
+                    }
+                    _ => {}
                 }
             }
         }
-        let profile = env.profile;
-        (segs, profile)
+        (segs, accs)
     }
 
     /// Process one element against every action of the fragment.
@@ -864,82 +720,29 @@ impl Executor {
                 cols,
                 pos,
             } => {
-                let sources: &[Option<Arc<MatVec>>] = values;
-                let threads = self.opts.effective_threads();
+                // The analyzer classified scatters as SerialApply: the
+                // position and value expressions (the gather-heavy build
+                // side of joins) evaluate per morsel, and the writes land
+                // in morsel order — the serial last-write-wins semantics
+                // bit for bit.
+                let parallel_ok = cp.verdict(*stmt).eval_parallel_apply_serial();
+                let parts = self.layout(*domain, *domain, parallel_ok);
+                let partials = self.drive(cp, values, &parts, profile, |m, env| {
+                    scatter_eval_range(cols, pos, *out_len, m, env)
+                });
                 let mut out_cols: Vec<Column> = cols
                     .iter()
                     .map(|(_, ty, _)| Column::empties(*ty, *out_len))
                     .collect();
-                // The analyzer classified scatters as SerialApply: inputs
-                // may be evaluated morsel-parallel, but the cross-morsel
-                // writes must land serially in morsel order.
-                let parts = if threads > 1
-                    && self.opts.worth_partitioning(*domain)
-                    && cp.verdict(*stmt).eval_parallel_apply_serial()
-                {
-                    self.opts.stealing_parts(*domain, threads)
-                } else {
-                    Partitioning::for_len(*domain, 1)
-                };
-                if parts.count() > 1 {
-                    // The build side of joins: evaluate the position and
-                    // value expressions (the gather-heavy half) morsel-
-                    // parallel, then apply the writes serially in morsel
-                    // order — preserving the serial last-write-wins
-                    // semantics bit for bit.
-                    note_partitions(parts.count());
-                    let run_worker = |m: Morsel| -> (Vec<usize>, Vec<Column>, EventProfile) {
-                        self.scatter_eval_range(cp, cols, pos, *out_len, (m.start, m.end), sources)
-                    };
-                    let run_worker = &run_worker;
-                    let results: Vec<_> = run_on_pool(
-                        parts
-                            .morsels()
-                            .iter()
-                            .map(|m| {
-                                let m = *m;
-                                move || run_worker(m)
-                            })
-                            .collect(),
-                    );
-                    for (hits, vals, prof) in &results {
-                        profile.merge(prof);
-                        for (k, &p) in hits.iter().enumerate() {
-                            for (ci, vcol) in vals.iter().enumerate() {
-                                match vcol.get(k) {
-                                    Some(v) => out_cols[ci].set(p, v),
-                                    None => out_cols[ci].clear(p),
-                                }
+                for (hits, vals) in &partials {
+                    for (k, &p) in hits.iter().enumerate() {
+                        for (ci, vcol) in vals.iter().enumerate() {
+                            match vcol.get(k) {
+                                Some(v) => out_cols[ci].set(p, v),
+                                None => out_cols[ci].clear(p),
                             }
                         }
                     }
-                } else {
-                    let mut env = Env::new(
-                        sources,
-                        self.opts.count_events,
-                        cp.branch_sites,
-                        cp.gather_sites,
-                    )
-                    .with_predication(self.opts.predicated_select);
-                    for i in 0..*domain {
-                        let Some(p) = pos.eval(i, &mut env) else {
-                            continue;
-                        };
-                        let p = p.as_i64();
-                        if p < 0 || p as usize >= *out_len {
-                            continue;
-                        }
-                        for (ci, (_, _, expr)) in cols.iter().enumerate() {
-                            match expr.eval(i, &mut env) {
-                                Some(v) => out_cols[ci].set(p as usize, v),
-                                None => out_cols[ci].clear(p as usize),
-                            }
-                        }
-                        if env.counting {
-                            env.profile.rand_writes += cols.len() as u64;
-                        }
-                    }
-                    profile.merge(&env.profile);
                 }
                 profile.work_items += *domain as u64;
                 profile.elements += *domain as u64;
@@ -959,14 +762,7 @@ impl Executor {
                 pivot,
                 pivot_len,
             } => {
-                let sources: &[Option<Arc<MatVec>>] = values;
-                let mut env = Env::new(
-                    sources,
-                    self.opts.count_events,
-                    cp.branch_sites,
-                    cp.gather_sites,
-                )
-                .with_predication(self.opts.predicated_select);
+                let mut env = self.env(cp, values);
                 let piv = eval_pivots(pivot, *pivot_len, &mut env);
                 let keys: Vec<Option<i64>> = (0..*domain)
                     .map(|i| key.eval(i, &mut env).map(to_key))
@@ -994,73 +790,30 @@ impl Executor {
                 site,
                 folds,
             } => {
-                let sources: &[Option<Arc<MatVec>>] = values;
                 let n_chunks = domain.div_ceil(*chunk);
-                let threads = self.opts.effective_threads();
                 // Chunks are already independent (each fills its own
                 // cache-resident position buffer), so the morsel unit is
                 // a run of whole chunks — provided every absorbed fold's
                 // partials combine associatively per the analyzer's
-                // verdict (float sums do not and stay serial).
-                let par_ok = threads > 1
-                    && n_chunks > 1
-                    && self.opts.worth_partitioning(*domain)
-                    && folds
-                        .iter()
-                        .all(|f| cp.verdict(f.stmt).combines_associatively());
-                let (accs, prof) = if par_ok {
-                    let parts = self.opts.stealing_parts(n_chunks, threads);
-                    note_partitions(parts.count());
-                    let run_worker = |m: Morsel| -> (Vec<Option<ScalarValue>>, EventProfile) {
-                        self.vec_select_chunks(
-                            cp,
-                            *domain,
-                            *chunk,
-                            sel.as_ref(),
-                            *site,
-                            folds,
-                            (m.start, m.end),
-                            sources,
-                        )
-                    };
-                    let run_worker = &run_worker;
-                    let results: Vec<_> = run_on_pool(
-                        parts
-                            .morsels()
-                            .iter()
-                            .map(|m| {
-                                let m = *m;
-                                move || run_worker(m)
-                            })
-                            .collect(),
-                    );
-                    let mut accs: Vec<Option<ScalarValue>> = vec![None; folds.len()];
-                    let mut prof = EventProfile::default();
-                    for (partial, p) in results {
-                        for (fi, v) in partial.into_iter().enumerate() {
-                            if let Some(v) = v {
-                                accs[fi] = Some(match accs[fi] {
-                                    None => v,
-                                    Some(a) => combine(folds[fi].agg, a, v),
-                                });
-                            }
+                // verdict (float sums do not and stay at one morsel).
+                let parallel_ok = folds
+                    .iter()
+                    .all(|f| cp.verdict(f.stmt).combines_associatively());
+                let parts = self.layout(n_chunks, *domain, parallel_ok);
+                let partials = self.drive(cp, values, &parts, profile, |m, env| {
+                    self.vec_select_chunks(*domain, *chunk, sel, *site, folds, m, env)
+                });
+                let mut accs: Vec<Option<ScalarValue>> = vec![None; folds.len()];
+                for partial in partials {
+                    for (fi, v) in partial.into_iter().enumerate() {
+                        if let Some(v) = v {
+                            accs[fi] = Some(match accs[fi] {
+                                None => v,
+                                Some(a) => combine(folds[fi].agg, a, v),
+                            });
                         }
-                        prof.merge(&p);
                     }
-                    (accs, prof)
-                } else {
-                    self.vec_select_chunks(
-                        cp,
-                        *domain,
-                        *chunk,
-                        sel.as_ref(),
-                        *site,
-                        folds,
-                        (0, n_chunks),
-                        sources,
-                    )
-                };
-                profile.merge(&prof);
+                }
                 profile.work_items += n_chunks as u64;
                 profile.elements += *domain as u64;
                 // Chunk-local buffers fill sequentially: parallelism is
@@ -1084,34 +837,28 @@ impl Executor {
         }
     }
 
-    /// One chunk-run of a vectorized selection: loop 1 emits qualifying
-    /// positions into the chunk-local buffer, loop 2 resolves them and
-    /// accumulates. Shared by the serial path (one run covering every
-    /// chunk) and the morsel workers (a run of whole chunks each), so the
-    /// two paths cannot drift.
+    /// One morsel of whole chunks of a vectorized selection: loop 1 emits
+    /// qualifying positions into the chunk-local buffer, loop 2 resolves
+    /// them and accumulates.
     #[allow(clippy::too_many_arguments)]
     fn vec_select_chunks(
         &self,
-        cp: &CompiledProgram,
         domain: usize,
         chunk: usize,
         sel: &Expr,
         site: usize,
         folds: &[VsFold],
-        (chunk_s, chunk_e): (usize, usize),
-        sources: &[Option<Arc<MatVec>>],
-    ) -> (Vec<Option<ScalarValue>>, EventProfile) {
-        let mut env = Env::new(
-            sources,
-            self.opts.count_events,
-            cp.branch_sites,
-            cp.gather_sites,
-        )
-        .with_predication(self.opts.predicated_select);
+        chunks: Morsel,
+        env: &mut Env<'_>,
+    ) -> Vec<Option<ScalarValue>> {
+        let srcs: Vec<Arc<MatVec>> = folds
+            .iter()
+            .map(|f| env.sources[f.src.index()].clone().expect("vs source"))
+            .collect();
         let mut accs: Vec<Option<ScalarValue>> = vec![None; folds.len()];
         let mut last_pos: Vec<i64> = vec![i64::MIN / 2; folds.len()];
         let mut posbuf: Vec<usize> = vec![0; chunk];
-        for ci in chunk_s..chunk_e {
+        for ci in chunks.start..chunks.end {
             let c0 = ci * chunk;
             let c1 = (c0 + chunk).min(domain);
             // Loop 1: emit qualifying positions into the chunk-local
@@ -1119,10 +866,7 @@ impl Executor {
             let mut count = 0usize;
             if self.opts.predicated_select {
                 for i in c0..c1 {
-                    let t = sel
-                        .eval(i, &mut env)
-                        .map(|v| v.is_truthy())
-                        .unwrap_or(false);
+                    let t = sel.eval(i, env).map(|v| v.is_truthy()).unwrap_or(false);
                     posbuf[count] = i;
                     count += t as usize;
                     if env.counting {
@@ -1132,10 +876,7 @@ impl Executor {
                 }
             } else {
                 for i in c0..c1 {
-                    let t = sel
-                        .eval(i, &mut env)
-                        .map(|v| v.is_truthy())
-                        .unwrap_or(false);
+                    let t = sel.eval(i, env).map(|v| v.is_truthy()).unwrap_or(false);
                     env.count_branch(site, t);
                     if t {
                         posbuf[count] = i;
@@ -1149,8 +890,7 @@ impl Executor {
             // Loop 2: resolve positions and accumulate.
             for &p in &posbuf[..count] {
                 for (fi, f) in folds.iter().enumerate() {
-                    let src = sources[f.src.index()].as_ref().expect("vs source").clone();
-                    if let Some(v) = src.get(f.src_col, p) {
+                    if let Some(v) = srcs[fi].get(f.src_col, p) {
                         let v = v.cast(f.out_ty);
                         accs[fi] = Some(match accs[fi] {
                             None => v,
@@ -1167,128 +907,20 @@ impl Executor {
                                 env.profile.rand_reads += 1;
                             }
                         }
-                        count_acc(&mut env, f.out_ty);
+                        count_acc(env, f.out_ty);
                     }
                 }
             }
         }
-        (accs, env.profile)
-    }
-
-    /// Evaluate a scatter's position and value expressions over one
-    /// morsel, compacting the qualifying rows. The caller applies the
-    /// writes serially in morsel order (input order), so conflicting
-    /// positions resolve exactly as the serial loop would.
-    fn scatter_eval_range(
-        &self,
-        cp: &CompiledProgram,
-        cols: &[(voodoo_core::KeyPath, ScalarType, Arc<Expr>)],
-        pos: &Expr,
-        out_len: usize,
-        (s, e): (usize, usize),
-        sources: &[Option<Arc<MatVec>>],
-    ) -> (Vec<usize>, Vec<Column>, EventProfile) {
-        let mut env = Env::new(
-            sources,
-            self.opts.count_events,
-            cp.branch_sites,
-            cp.gather_sites,
-        )
-        .with_predication(self.opts.predicated_select);
-        let mut hits: Vec<usize> = Vec::new();
-        let mut vals: Vec<Column> = cols
-            .iter()
-            .map(|(_, ty, _)| Column::empties(*ty, 0))
-            .collect();
-        for i in s..e {
-            let Some(p) = pos.eval(i, &mut env) else {
-                continue;
-            };
-            let p = p.as_i64();
-            if p < 0 || p as usize >= out_len {
-                continue;
-            }
-            hits.push(p as usize);
-            for (ci, (_, _, expr)) in cols.iter().enumerate() {
-                vals[ci].push(expr.eval(i, &mut env));
-            }
-            if env.counting {
-                env.profile.rand_writes += cols.len() as u64;
-            }
-        }
-        (hits, vals, env.profile)
-    }
-
-    /// Partial grouped aggregation over one element range: per-bucket
-    /// counts, the bucket's (single) key, and per-fold accumulators.
-    /// Shared by the serial fused path (one range covering the domain)
-    /// and the morsel workers; `mismatch` reports a bucket holding more
-    /// than one key run, which sends the whole unit to the generic
-    /// fallback.
-    #[allow(clippy::too_many_arguments)]
-    fn group_agg_range(
-        &self,
-        cp: &CompiledProgram,
-        key: &Expr,
-        folds: &[GroupFold],
-        piv: &[i64],
-        nb: usize,
-        (s, e): (usize, usize),
-        sources: &[Option<Arc<MatVec>>],
-    ) -> GroupPartial {
-        let mut env = Env::new(
-            sources,
-            self.opts.count_events,
-            cp.branch_sites,
-            cp.gather_sites,
-        )
-        .with_predication(self.opts.predicated_select);
-        let mut counts = vec![0usize; nb];
-        let mut first_key: Vec<Option<Option<i64>>> = vec![None; nb];
-        let mut accs: Vec<Vec<Option<ScalarValue>>> =
-            folds.iter().map(|_| vec![None; nb]).collect();
-        let mut mismatch = false;
-        for i in s..e {
-            let kv = key.eval(i, &mut env).map(to_key);
-            let b = bucket_of(piv, kv);
-            match &first_key[b] {
-                None => first_key[b] = Some(kv),
-                Some(prev) if *prev != kv => {
-                    mismatch = true;
-                    break;
-                }
-                _ => {}
-            }
-            counts[b] += 1;
-            for (fi, f) in folds.iter().enumerate() {
-                if let Some(v) = f.val.eval(i, &mut env) {
-                    let v = v.cast(f.out_ty);
-                    accs[fi][b] = Some(match accs[fi][b] {
-                        None => v,
-                        Some(a) => combine(f.agg, a, v),
-                    });
-                    count_acc(&mut env, f.out_ty);
-                }
-            }
-            if env.counting {
-                env.profile.int_ops += 1; // bucket computation
-            }
-        }
-        GroupPartial {
-            counts,
-            first_key,
-            accs,
-            mismatch,
-            profile: env.profile,
-        }
+        accs
     }
 
     /// Virtual scatter (§3.1.3): one accumulation pass over dense buckets,
     /// with a runtime guard that each bucket holds a single key run (else
-    /// it falls back to the generic scatter + dynamic fold). With morsel
-    /// parallelism the pass runs as per-morsel partial aggregations
-    /// (partial per-partition tables) merged in morsel order; a bucket
-    /// whose key disagrees *across* morsels is a mismatch too.
+    /// it falls back to the generic scatter + dynamic fold). The pass runs
+    /// as per-morsel partial aggregations (partial per-partition tables)
+    /// merged in morsel order; a bucket whose key disagrees *across*
+    /// morsels is a mismatch too.
     fn exec_group_agg(
         &self,
         cp: &CompiledProgram,
@@ -1303,22 +935,13 @@ impl Executor {
             pivot,
             pivot_len,
             folds,
-            scatter_cols,
-            key_col,
             ..
         } = bulk
         else {
             unreachable!()
         };
-        let sources: &[Option<Arc<MatVec>>] = values;
         let piv = {
-            let mut env = Env::new(
-                sources,
-                self.opts.count_events,
-                cp.branch_sites,
-                cp.gather_sites,
-            )
-            .with_predication(self.opts.predicated_select);
+            let mut env = self.env(cp, values);
             let piv = eval_pivots(pivot, *pivot_len, &mut env);
             profile.merge(&env.profile);
             piv
@@ -1330,89 +953,47 @@ impl Executor {
             folds.iter().map(|_| vec![None; nb]).collect();
         let mut mismatch = *out_len != *domain;
         if !mismatch {
-            let threads = self.opts.effective_threads();
             // Cross-morsel combination of per-bucket accumulators is only
             // bit-identical when the analyzer proved every fold
-            // associative (integer Sum/Min/Max; float folds stay serial).
-            let par_ok = threads > 1
-                && self.opts.worth_partitioning(*domain)
-                && folds
-                    .iter()
-                    .all(|f| cp.verdict(f.stmt).combines_associatively());
-            let parts = if par_ok {
-                self.opts.stealing_parts(*domain, threads)
-            } else {
-                Partitioning::for_len(*domain, 1)
-            };
-            if parts.count() > 1 {
-                note_partitions(parts.count());
-                let key_expr: &Expr = key.as_ref();
-                let piv_ref: &[i64] = &piv;
-                let run_worker = |m: Morsel| -> GroupPartial {
-                    self.group_agg_range(
-                        cp,
-                        key_expr,
-                        folds,
-                        piv_ref,
-                        nb,
-                        (m.start, m.end),
-                        sources,
-                    )
-                };
-                let run_worker = &run_worker;
-                let partials: Vec<GroupPartial> = run_on_pool(
-                    parts
-                        .morsels()
-                        .iter()
-                        .map(|m| {
-                            let m = *m;
-                            move || run_worker(m)
-                        })
-                        .collect(),
-                );
-                for p in &partials {
-                    profile.merge(&p.profile);
-                }
-                for p in partials {
-                    mismatch |= p.mismatch;
-                    if mismatch {
-                        break;
-                    }
-                    for b in 0..nb {
-                        if let Some(kv) = p.first_key[b] {
-                            match &first_key[b] {
-                                None => first_key[b] = Some(kv),
-                                Some(prev) if *prev != kv => mismatch = true,
-                                _ => {}
-                            }
-                        }
-                        counts[b] += p.counts[b];
-                    }
-                    for (fi, partial_accs) in p.accs.into_iter().enumerate() {
-                        for (b, v) in partial_accs.into_iter().enumerate() {
-                            if let Some(v) = v {
-                                accs[fi][b] = Some(match accs[fi][b] {
-                                    None => v,
-                                    Some(a) => combine(folds[fi].agg, a, v),
-                                });
-                            }
-                        }
-                    }
-                    if mismatch {
-                        break;
-                    }
-                }
-            } else {
-                let p =
-                    self.group_agg_range(cp, key.as_ref(), folds, &piv, nb, (0, *domain), sources);
-                profile.merge(&p.profile);
+            // associative (integer Sum/Min/Max; float folds stay at one
+            // morsel).
+            let parallel_ok = folds
+                .iter()
+                .all(|f| cp.verdict(f.stmt).combines_associatively());
+            let parts = self.layout(*domain, *domain, parallel_ok);
+            let partials = self.drive(cp, values, &parts, profile, |m, env| {
+                group_agg_range(key, folds, &piv, nb, m, env)
+            });
+            for p in partials {
                 mismatch |= p.mismatch;
-                counts = p.counts;
-                first_key = p.first_key;
-                accs = p.accs;
+                if mismatch {
+                    break;
+                }
+                for b in 0..nb {
+                    if let Some(kv) = p.first_key[b] {
+                        match &first_key[b] {
+                            None => first_key[b] = Some(kv),
+                            Some(prev) if *prev != kv => mismatch = true,
+                            _ => {}
+                        }
+                    }
+                    counts[b] += p.counts[b];
+                }
+                for (fi, partial_accs) in p.accs.into_iter().enumerate() {
+                    for (b, v) in partial_accs.into_iter().enumerate() {
+                        if let Some(v) = v {
+                            accs[fi][b] = Some(match accs[fi][b] {
+                                None => v,
+                                Some(a) => combine(folds[fi].agg, a, v),
+                            });
+                        }
+                    }
+                }
+                if mismatch {
+                    break;
+                }
             }
         }
-        let _ = &first_key;
         profile.work_items += *domain as u64;
         profile.elements += *domain as u64;
         profile.max_par = (*domain as u64 / 1024).max(1);
@@ -1426,7 +1007,6 @@ impl Executor {
             starts[b] = acc;
             acc += c;
         }
-        let _ = (scatter_cols, key_col);
         for (fi, f) in folds.iter().enumerate() {
             let mut col = Column::empties(f.out_ty, nb);
             for (b, v) in accs[fi].iter().enumerate() {
@@ -1468,14 +1048,7 @@ impl Executor {
         else {
             unreachable!()
         };
-        let sources: &[Option<Arc<MatVec>>] = values;
-        let mut env = Env::new(
-            sources,
-            self.opts.count_events,
-            cp.branch_sites,
-            cp.gather_sites,
-        )
-        .with_predication(self.opts.predicated_select);
+        let mut env = self.env(cp, values);
         let piv = eval_pivots(pivot, *pivot_len, &mut env);
         let keys: Vec<Option<i64>> = (0..*domain)
             .map(|i| key.eval(i, &mut env).map(to_key))
@@ -1543,6 +1116,91 @@ impl Executor {
     }
 }
 
+/// Evaluate a scatter's position and value expressions over one
+/// morsel, compacting the qualifying rows. The caller applies the
+/// writes in morsel order (input order), so conflicting positions
+/// resolve exactly as a serial loop would.
+fn scatter_eval_range(
+    cols: &[(KeyPath, ScalarType, Arc<Expr>)],
+    pos: &Expr,
+    out_len: usize,
+    m: Morsel,
+    env: &mut Env<'_>,
+) -> (Vec<usize>, Vec<Column>) {
+    let mut hits: Vec<usize> = Vec::new();
+    let mut vals: Vec<Column> = cols
+        .iter()
+        .map(|(_, ty, _)| Column::empties(*ty, 0))
+        .collect();
+    for i in m.start..m.end {
+        let Some(p) = pos.eval(i, env) else {
+            continue;
+        };
+        let p = p.as_i64();
+        if p < 0 || p as usize >= out_len {
+            continue;
+        }
+        hits.push(p as usize);
+        for (ci, (_, _, expr)) in cols.iter().enumerate() {
+            vals[ci].push(expr.eval(i, env));
+        }
+        if env.counting {
+            env.profile.rand_writes += cols.len() as u64;
+        }
+    }
+    (hits, vals)
+}
+
+/// Partial grouped aggregation over one morsel: per-bucket counts, the
+/// bucket's (single) key, and per-fold accumulators; `mismatch` reports
+/// a bucket holding more than one key run, which sends the whole unit
+/// to the generic fallback.
+fn group_agg_range(
+    key: &Expr,
+    folds: &[GroupFold],
+    piv: &[i64],
+    nb: usize,
+    m: Morsel,
+    env: &mut Env<'_>,
+) -> GroupPartial {
+    let mut counts = vec![0usize; nb];
+    let mut first_key: Vec<Option<Option<i64>>> = vec![None; nb];
+    let mut accs: Vec<Vec<Option<ScalarValue>>> = folds.iter().map(|_| vec![None; nb]).collect();
+    let mut mismatch = false;
+    for i in m.start..m.end {
+        let kv = key.eval(i, env).map(to_key);
+        let b = bucket_of(piv, kv);
+        match &first_key[b] {
+            None => first_key[b] = Some(kv),
+            Some(prev) if *prev != kv => {
+                mismatch = true;
+                break;
+            }
+            _ => {}
+        }
+        counts[b] += 1;
+        for (fi, f) in folds.iter().enumerate() {
+            if let Some(v) = f.val.eval(i, env) {
+                let v = v.cast(f.out_ty);
+                accs[fi][b] = Some(match accs[fi][b] {
+                    None => v,
+                    Some(a) => combine(f.agg, a, v),
+                });
+                count_acc(env, f.out_ty);
+            }
+        }
+        if env.counting {
+            env.profile.int_ops += 1; // bucket computation
+        }
+    }
+    GroupPartial {
+        counts,
+        first_key,
+        accs,
+        mismatch,
+    }
+}
+
 /// Slots an output column occupies: the whole domain for `Full` layout,
 /// one slot per run for `Dense` (fold results).
 fn full_len_of(layout: Layout, domain: usize, run_len: usize) -> usize {
@@ -1556,38 +1214,6 @@ fn full_len_of(layout: Layout, domain: usize, run_len: usize) -> usize {
             }
         }
     }
-}
-
-/// Shared epilogue of the serial and morsel fragment paths: attach the
-/// merged output column to (or create) its statement's vector, record
-/// optional partition-bounds metadata, and wrap per layout.
-fn attach_fragment_output(
-    values: &mut [Option<Arc<MatVec>>],
-    spec: &crate::plan::OutSpec,
-    col: Column,
-    full_len: usize,
-    run_len: usize,
-    domain: usize,
-    bounds: Option<Vec<usize>>,
-) {
-    let existing = values[spec.stmt.index()].take();
-    let mut sv = match existing {
-        Some(m) => m.storage().clone(),
-        None => StructuredVector::with_len(full_len),
-    };
-    sv.insert(spec.kp.clone(), col);
-    if let Some(b) = bounds {
-        sv.set_partition_bounds(b);
-    }
-    let wrapped = match spec.layout {
-        Layout::Full => MatVec::Full(sv),
-        Layout::Dense => MatVec::FoldDense {
-            values: sv,
-            run_len,
-            orig_len: domain,
-        },
-    };
-    values[spec.stmt.index()] = Some(Arc::new(wrapped));
 }
 
 fn combine(agg: AggKind, a: ScalarValue, b: ScalarValue) -> ScalarValue {
@@ -1667,11 +1293,4 @@ fn counting_sort_positions(keys: &[Option<i64>], piv: &[i64]) -> Vec<usize> {
             p
         })
         .collect()
-}
-
-/// Convenience: compile and run a program in one call (single-threaded).
-pub fn run_compiled(program: &voodoo_core::Program, catalog: &Catalog) -> Result<ExecOutput> {
-    let cp = crate::Compiler::new(catalog).compile(program)?;
-    let (out, _) = Executor::single_threaded().run(&cp, catalog)?;
-    Ok(out)
 }

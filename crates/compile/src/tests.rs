@@ -19,39 +19,32 @@ fn assert_equivalent(cat: &Catalog, p: &Program) {
         .run_program(p)
         .expect("interp");
     let cp = Compiler::new(cat).compile(p).expect("compile");
-    for &threads in &[1usize, 3] {
-        let exec = Executor::new(ExecOptions {
-            parallelism: crate::exec::Parallelism::Fixed(threads),
-            // Tiny fixture domains must still exercise the morsel path.
-            min_parallel_domain: 1,
-            ..Default::default()
-        });
-        let (compiled, _) = exec.run(&cp, cat).expect("exec");
-        assert_eq!(
-            interp.returns.len(),
-            compiled.returns.len(),
-            "return count ({threads} threads)"
-        );
-        for (i, (a, b)) in interp.returns.iter().zip(&compiled.returns).enumerate() {
-            assert_vec_eq(
-                a,
-                b,
-                &format!("return {i} ({threads} threads)\nprogram:\n{p}"),
+    // Serial and morsel-parallel, branching and predicated: no setting
+    // may change results.
+    for predicated in [false, true] {
+        for threads in [1usize, 3] {
+            let exec = Executor::new(ExecOptions {
+                parallelism: crate::exec::Parallelism::Fixed(threads),
+                predicated_select: predicated,
+                // Tiny fixture domains must still exercise the morsel path.
+                min_parallel_domain: 1,
+                ..Default::default()
+            });
+            let mode = format!("{threads} threads, predicated={predicated}");
+            let (compiled, _) = exec.run(&cp, cat).expect("exec");
+            assert_eq!(
+                interp.returns.len(),
+                compiled.returns.len(),
+                "return count ({mode})"
             );
+            for (i, (a, b)) in interp.returns.iter().zip(&compiled.returns).enumerate() {
+                assert_vec_eq(a, b, &format!("return {i} ({mode})\nprogram:\n{p}"));
+            }
+            for ((na, va), (nb, vb)) in interp.persisted.iter().zip(&compiled.persisted) {
+                assert_eq!(na, nb);
+                assert_vec_eq(va, vb, &format!("persist {na} ({mode})"));
+            }
         }
-        for ((na, va), (nb, vb)) in interp.persisted.iter().zip(&compiled.persisted) {
-            assert_eq!(na, nb);
-            assert_vec_eq(va, vb, &format!("persist {na}"));
-        }
-    }
-    // Predicated mode must not change results either.
-    let exec = Executor::new(ExecOptions {
-        predicated_select: true,
-        ..Default::default()
-    });
-    let (compiled, _) = exec.run(&cp, cat).expect("exec predicated");
-    for (a, b) in interp.returns.iter().zip(&compiled.returns) {
-        assert_vec_eq(a, b, "predicated mode");
     }
 }
 

@@ -34,7 +34,6 @@ use voodoo_backend::{
 use voodoo_compile::exec::StatementTrace;
 use voodoo_compile::MorselPool;
 use voodoo_core::{Diagnostic, Pass, Program, Result, VoodooError};
-use voodoo_interp::ExecOutput;
 use voodoo_ivm::{MaintainedView, Refresh, RefreshKind, ViewDef};
 use voodoo_storage::{Catalog, CatalogSnapshot};
 use voodoo_tpch::queries::{Query, QueryResult};
@@ -1191,62 +1190,4 @@ pub fn run_query_on(backend: &dyn Backend, cat: &Catalog, q: Query) -> Result<Qu
     queries::run_query(cat, q, &mut |p: &Program, c: &Catalog| {
         backend.prepare(p, c)?.execute(c)
     })
-}
-
-/// Run a query through an arbitrary executor callback (e.g. a timing
-/// wrapper). Executor failures propagate instead of panicking.
-#[deprecated(note = "use Session (or run_query_on with a custom Backend) instead")]
-pub fn run_with<F>(cat: &Catalog, q: Query, mut exec: F) -> Result<QueryResult>
-where
-    F: FnMut(&Program, &Catalog) -> Result<ExecOutput>,
-{
-    queries::run_query(cat, q, &mut |p: &Program, c: &Catalog| exec(p, c))
-}
-
-/// Shared body of the deprecated per-backend shims: stand up a one-shot
-/// engine over (an Arc-shared clone of) the caller's catalog, register
-/// the requested backend, and execute through the serving queue — the
-/// same admission path [`Engine::serve`] and [`Engine::run_batch`] use —
-/// so even legacy callers flow through the plan cache and metrics.
-fn run_shim_through_queue(cat: &Catalog, q: Query, backend: Arc<dyn Backend>) -> QueryResult {
-    let engine = Arc::new(Engine::new(cat.clone()));
-    engine.register("shim", backend);
-    let server = engine.serve(
-        crate::ServeConfig::default()
-            .with_queue_capacity(1)
-            .with_workers(1),
-    );
-    let receipt = server
-        .submit_wait(StatementSpec::tpch(q).on("shim"), None)
-        .expect("one-slot queue admits the only statement");
-    let out = receipt
-        .wait()
-        .map_err(crate::ServeError::into_engine_error)
-        .expect("shim execution");
-    server.shutdown();
-    out.into_rows()
-}
-
-/// Run a query on the reference interpreter backend.
-#[deprecated(note = "use Session::query(q).run_on(\"interp\") instead")]
-pub fn run_interp(cat: &Catalog, q: Query) -> QueryResult {
-    run_shim_through_queue(cat, q, Arc::new(InterpBackend::new()))
-}
-
-/// Run a query on the compiled CPU backend.
-#[deprecated(note = "use Session::query(q).run() instead")]
-pub fn run_compiled(cat: &Catalog, q: Query, threads: usize) -> QueryResult {
-    let backend = CpuBackend::with_threads(threads);
-    run_shim_through_queue(cat, q, Arc::new(backend))
-}
-
-/// Run a query on the compiled backend with the CSE+DCE normalization
-/// pass applied first (the sharing the paper's §2 "Minimal" principle
-/// enables; see `voodoo_core::transform`). Results are identical to
-/// [`run_compiled`] by construction — pinned by tests — while plans
-/// shrink wherever the frontend emitted redundant control vectors.
-#[deprecated(note = "use Session (its cpu backend normalizes by default) instead")]
-pub fn run_compiled_optimized(cat: &Catalog, q: Query, threads: usize) -> QueryResult {
-    let backend = CpuBackend::with_threads(threads).with_optimize(true);
-    run_shim_through_queue(cat, q, Arc::new(backend))
 }

@@ -19,7 +19,7 @@
 //! * [`engine`] — the shared, thread-safe [`Engine`]: catalog snapshots
 //!   (copy-on-write), the backend registry, the sharded LRU plan cache,
 //!   serving metrics, and [`Engine::run_batch`]; plus
-//!   [`engine::run_query_on`] and the deprecated per-backend shims,
+//!   [`engine::run_query_on`],
 //! * [`serve`] — the admission-controlled serving front door: a bounded
 //!   queue over one engine, drained by a fixed worker pool in
 //!   weighted-fair session order, shedding explicitly on overload
@@ -66,8 +66,8 @@
 //! FIFO steals, so a skewed morsel rebalances onto idle workers
 //! instead of stalling the statement — and serving QPS no longer pays
 //! a thread spawn per execution unit. Statements over-decompose their
-//! domains (`steal_grain` morsels per worker) to leave the scheduler
-//! units to move. Under [`serve`], each admission worker carries an
+//! domains (a fixed 4 morsels per worker) to leave the scheduler units
+//! to move; a serial statement is one morsel per kernel. Under [`serve`], each admission worker carries an
 //! intra-statement parallelism budget of `cores / workers` — the
 //! *lease* it takes on the shared pool — so statement fan-out and the
 //! admission pool compose to the machine rather than oversubscribing
@@ -154,8 +154,6 @@ pub mod shard;
 pub mod sql;
 pub mod views;
 
-#[allow(deprecated)]
-pub use engine::{run_compiled, run_compiled_optimized, run_interp, run_with};
 pub use engine::{run_query_on, CatalogWrite, Engine, EngineMetrics, StatementSpec};
 pub use overload::{OverloadConfig, Quota, Retry};
 pub use prepare::prepare;

@@ -56,58 +56,6 @@ fn voodoo_compiled_multithreaded_matches() {
     }
 }
 
-/// The deprecated per-backend shims now route through the queue-aware
-/// serving path (`Engine::serve`); their TPC-H answers must remain
-/// bit-identical to both the reference engine and the Session path.
-#[test]
-#[allow(deprecated)]
-fn legacy_shims_through_the_queue_stay_bit_identical() {
-    let cat = catalog();
-    let session = crate::Session::new(cat.clone());
-    for q in [Query::Q1, Query::Q6, Query::Q12, Query::Q14, Query::Q19] {
-        let h = voodoo_baselines::hyper::run(&cat, q);
-        let via_session = session.run_query(q).expect("session");
-        assert_eq!(h, via_session, "{} session baseline", q.name());
-        assert_eq!(h, crate::run_interp(&cat, q), "{} run_interp", q.name());
-        assert_eq!(
-            h,
-            crate::run_compiled(&cat, q, 2),
-            "{} run_compiled",
-            q.name()
-        );
-        assert_eq!(
-            h,
-            crate::run_compiled_optimized(&cat, q, 2),
-            "{} run_compiled_optimized",
-            q.name()
-        );
-    }
-}
-
-/// The deprecated free-function shims keep working (they forward to the
-/// unified backends).
-#[test]
-#[allow(deprecated)]
-fn legacy_engine_shims_still_answer() {
-    let cat = catalog();
-    let h = voodoo_baselines::hyper::run(&cat, Query::Q6);
-    assert_eq!(h, crate::run_interp(&cat, Query::Q6));
-    assert_eq!(h, crate::run_compiled(&cat, Query::Q6, 2));
-    assert_eq!(h, crate::run_compiled_optimized(&cat, Query::Q6, 2));
-    assert_eq!(
-        h,
-        crate::run_with(&cat, Query::Q6, |p, c| {
-            voodoo_interp::Interpreter::new(c).run_program(p)
-        })
-        .expect("run_with propagates executor results")
-    );
-    // Executor failures propagate as errors instead of panicking.
-    let err = crate::run_with(&cat, Query::Q6, |_, _| {
-        Err(voodoo_core::VoodooError::Backend("boom".into()))
-    });
-    assert!(err.is_err());
-}
-
 #[test]
 fn q6_through_the_sql_frontend_matches_the_plan() {
     // Q6 is expressible in the SQL subset — cross-check frontend paths.

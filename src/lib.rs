@@ -172,9 +172,9 @@
 //! ## Parallel execution
 //!
 //! Statements don't just run concurrently — each statement can fan
-//! **across** cores. The storage layer slices a table's columns into
-//! aligned morsels ([`storage::Partitioning`], cached per table
-//! version), and the compiled CPU backend executes the hot kernels —
+//! **across** cores. The storage layer slices a kernel's domain into
+//! aligned morsels ([`storage::Partitioning`]), and the compiled CPU
+//! backend executes the hot kernels —
 //! selection, folds, grouped aggregation (partial per-partition tables
 //! merged in morsel order), the expression side of join builds —
 //! partition-parallel, **bit-identical** to the serial interpreter
@@ -187,10 +187,10 @@
 //! statement's morsels are queued on one long-lived worker's deque
 //! (LIFO for locality), and idle workers *steal* the oldest entries
 //! (FIFO), so a skewed morsel rebalances across the machine instead of
-//! stalling its statement. Domains are over-decomposed
-//! (`steal_grain`, default 4 morsels per worker) to leave the
-//! scheduler units to move; results still merge in morsel order, so
-//! scheduling never changes a bit of output. A panicking morsel task
+//! stalling its statement. Domains are over-decomposed (4 morsels
+//! per worker, the fixed steal grain) to leave the scheduler units to
+//! move; serial execution is simply one morsel. Results merge in
+//! morsel order, so scheduling never changes a bit of output. A panicking morsel task
 //! fails only its own statement — the pool keeps serving.
 //!
 //! ```

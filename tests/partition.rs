@@ -20,8 +20,9 @@
 use std::sync::Arc;
 
 use voodoo::backend::{CpuBackend, Parallelism};
-use voodoo::compile::exec::ExecOptions;
+use voodoo::compile::exec::{statement_trace_begin, statement_trace_end, ExecOptions, Executor};
 use voodoo::compile::pool::MorselPool;
+use voodoo::compile::Compiler;
 use voodoo::core::{KeyPath, Program};
 use voodoo::relational::{Session, StatementSpec};
 use voodoo::storage::Catalog;
@@ -94,15 +95,21 @@ fn tpch_and_sql_bit_identical_across_partition_counts() {
 /// Proptest-style sweep: every P in 1..=17 (beyond any morsel-count the
 /// fixed set covers, including P ≫ natural chunk counts) over raw
 /// algebra programs that hit each partition-parallel kernel — global
-/// fold, selection emission, vectorized-selection, grouped aggregation
-/// and the scatter build side.
+/// fold, selection emission, vectorized-selection, grouped aggregation,
+/// per-run folds and the scatter build side — plus a float SUM and a
+/// prefix scan, which must stay at one morsel.
 #[test]
 fn any_partition_count_matches_serial_on_kernel_programs() {
     let mut cat = Catalog::in_memory();
     // Data with duplicates, negatives, and a non-multiple-of-P length.
     let vals: Vec<i64> = (0..10_007).map(|i| (i * 37 + 11) % 1000 - 500).collect();
     cat.put_i64_column("t", &vals);
-    let session = Session::new(cat);
+    // A 512-slot scatter target, and floats whose sum depends on the
+    // order of accumulation.
+    cat.put_i64_column("slots", &[0; 512]);
+    let floats: Vec<f32> = vals.iter().map(|&v| v as f32 * 0.37 + 1.0e4).collect();
+    cat.put_f32_column("f", &floats);
+    let session = Session::new(cat.clone());
 
     let mut programs: Vec<(&str, Program)> = Vec::new();
     // Global fold (Single-run fragment).
@@ -136,6 +143,28 @@ fn any_partition_count_matches_serial_on_kernel_programs() {
         ),
     ));
 
+    // Scatter (the build side of joins) whose positions collide and fall
+    // out of range on both ends: writes apply in input order, so the
+    // last row index per slot wins.
+    let mut p = Program::new();
+    let t = p.load("t");
+    let slots = p.load("slots");
+    let pos = p.add_const(t, 100);
+    let rows = p.range_like(0, t, 1);
+    let scattered = p.scatter(rows, slots, pos);
+    p.ret(scattered);
+    programs.push(("scatter_collide_out_of_range", p));
+    // A float SUM and a prefix scan: neither merges across morsels, so
+    // their verdicts keep them at one morsel at every P.
+    let mut float_and_scan = Program::new();
+    let f = float_and_scan.load("f");
+    let fsum = float_and_scan.fold_sum_global(f);
+    let t = float_and_scan.load("t");
+    let scan = float_and_scan.fold_scan_global(t);
+    float_and_scan.ret(fsum);
+    float_and_scan.ret(scan);
+    programs.push(("float_sum_and_prefix_scan", float_and_scan.clone()));
+
     for (label, program) in &programs {
         let serial = session
             .program(program.clone())
@@ -154,6 +183,24 @@ fn any_partition_count_matches_serial_on_kernel_programs() {
                 "{label} must be bit-identical at P={p}"
             );
         }
+    }
+
+    let cp = Compiler::new(&cat)
+        .compile(&float_and_scan)
+        .expect("compile");
+    for p in 1..=17usize {
+        let exec = Executor::new(ExecOptions {
+            parallelism: Parallelism::Fixed(p),
+            min_parallel_domain: 1,
+            ..ExecOptions::default()
+        });
+        statement_trace_begin();
+        exec.run(&cp, &cat).expect("run");
+        assert_eq!(
+            statement_trace_end().partitions,
+            1,
+            "float SUM and prefix scan stay at one morsel at P={p}"
+        );
     }
 }
 
