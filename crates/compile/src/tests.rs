@@ -234,8 +234,7 @@ fn chunked_select_becomes_vectorized() {
 // Differential tests (compiled ≡ interpreter)
 // ---------------------------------------------------------------------
 
-#[test]
-fn diff_elementwise_chain() {
+fn prog_elementwise_chain() -> (Catalog, Program) {
     let cat = numbers_catalog();
     let mut p = Program::new();
     let t = p.load("nums");
@@ -243,11 +242,16 @@ fn diff_elementwise_chain() {
     let b = p.add_const(a, 7i64);
     let c = p.binary(BinOp::Subtract, b, t);
     p.ret(c);
-    assert_equivalent(&cat, &p);
+    (cat, p)
 }
 
 #[test]
-fn diff_comparisons_and_logic() {
+fn diff_elementwise_chain() {
+    let (cat, p) = prog_elementwise_chain();
+    assert_equivalent(&cat, &p);
+}
+
+fn prog_comparisons_and_logic() -> (Catalog, Program) {
     let cat = numbers_catalog();
     let mut p = Program::new();
     let t = p.load("nums");
@@ -255,22 +259,32 @@ fn diff_comparisons_and_logic() {
     let l = p.binary_const(BinOp::Less, t, kp(".val"), 20i64, kp(".val"));
     let both = p.binary(BinOp::LogicalAnd, g, l);
     p.ret(both);
-    assert_equivalent(&cat, &p);
+    (cat, p)
 }
 
 #[test]
-fn diff_float_arithmetic() {
+fn diff_comparisons_and_logic() {
+    let (cat, p) = prog_comparisons_and_logic();
+    assert_equivalent(&cat, &p);
+}
+
+fn prog_float_arithmetic() -> (Catalog, Program) {
     let cat = numbers_catalog();
     let mut p = Program::new();
     let t = p.load("floats");
     let x = p.mul(t, t);
     let s = p.fold_sum_global(x);
     p.ret(s);
-    assert_equivalent(&cat, &p);
+    (cat, p)
 }
 
 #[test]
-fn diff_fold_variants() {
+fn diff_float_arithmetic() {
+    let (cat, p) = prog_float_arithmetic();
+    assert_equivalent(&cat, &p);
+}
+
+fn prog_fold_variants() -> (Catalog, Program) {
     let cat = numbers_catalog();
     let mut p = Program::new();
     let t = p.load("nums");
@@ -284,11 +298,16 @@ fn diff_fold_variants() {
     p.ret(mn);
     p.ret(mx);
     p.ret(scan);
-    assert_equivalent(&cat, &p);
+    (cat, p)
 }
 
 #[test]
-fn diff_fold_select_materialized() {
+fn diff_fold_variants() {
+    let (cat, p) = prog_fold_variants();
+    assert_equivalent(&cat, &p);
+}
+
+fn prog_fold_select_materialized() -> (Catalog, Program) {
     // Returned positions force the non-fused SelectEmit path.
     let cat = numbers_catalog();
     let mut p = Program::new();
@@ -296,11 +315,16 @@ fn diff_fold_select_materialized() {
     let pred = p.greater_const(t, 8i64);
     let sel = p.fold_select_global(pred);
     p.ret(sel);
-    assert_equivalent(&cat, &p);
+    (cat, p)
 }
 
 #[test]
-fn diff_fold_select_chunked_materialized() {
+fn diff_fold_select_materialized() {
+    let (cat, p) = prog_fold_select_materialized();
+    assert_equivalent(&cat, &p);
+}
+
+fn prog_fold_select_chunked_materialized() -> (Catalog, Program) {
     let cat = numbers_catalog();
     let mut p = Program::new();
     let t = p.load("nums");
@@ -309,11 +333,16 @@ fn diff_fold_select_chunked_materialized() {
     let chunks = p.div_const(ids, 4);
     let sel = p.fold_select(chunks, pred);
     p.ret(sel);
-    assert_equivalent(&cat, &p);
+    (cat, p)
 }
 
 #[test]
-fn diff_gather_and_scatter() {
+fn diff_fold_select_chunked_materialized() {
+    let (cat, p) = prog_fold_select_chunked_materialized();
+    assert_equivalent(&cat, &p);
+}
+
+fn prog_gather_and_scatter() -> (Catalog, Program) {
     let cat = numbers_catalog();
     let mut p = Program::new();
     let t = p.load("nums");
@@ -324,11 +353,16 @@ fn diff_gather_and_scatter() {
     let pos = p.range(9, 10, -1);
     let sc = p.scatter(t, t, pos);
     p.ret(sc);
-    assert_equivalent(&cat, &p);
+    (cat, p)
 }
 
 #[test]
-fn diff_partition_and_grouped_scatter() {
+fn diff_gather_and_scatter() {
+    let (cat, p) = prog_gather_and_scatter();
+    assert_equivalent(&cat, &p);
+}
+
+fn prog_partition_and_grouped_scatter() -> (Catalog, Program) {
     let cat = numbers_catalog();
     let mut p = Program::new();
     let t = p.load("pairs");
@@ -339,11 +373,16 @@ fn diff_partition_and_grouped_scatter() {
     let scattered = p.scatter(with_key, with_key, pos);
     p.ret(pos);
     p.ret(scattered);
-    assert_equivalent(&cat, &p);
+    (cat, p)
 }
 
 #[test]
-fn diff_virtual_scatter_group_agg() {
+fn diff_partition_and_grouped_scatter() {
+    let (cat, p) = prog_partition_and_grouped_scatter();
+    assert_equivalent(&cat, &p);
+}
+
+fn prog_virtual_scatter_group_agg() -> (Catalog, Program) {
     let cat = numbers_catalog();
     let mut p = Program::new();
     let t = p.load("pairs");
@@ -368,11 +407,16 @@ fn diff_virtual_scatter_group_agg() {
     );
     p.ret(sums);
     p.ret(maxs);
-    assert_equivalent(&cat, &p);
+    (cat, p)
 }
 
 #[test]
-fn diff_group_agg_fallback_on_range_pivots() {
+fn diff_virtual_scatter_group_agg() {
+    let (cat, p) = prog_virtual_scatter_group_agg();
+    assert_equivalent(&cat, &p);
+}
+
+fn prog_group_agg_fallback_on_range_pivots() -> (Catalog, Program) {
     // Pivots [0, 5): keys 0..6 with bucket collisions (key 5 → bucket 4 …)
     // multiple distinct keys per bucket trigger the generic fallback.
     let mut cat = Catalog::in_memory();
@@ -399,22 +443,32 @@ fn diff_group_agg_fallback_on_range_pivots() {
         kp(".sum"),
     );
     p.ret(sums);
-    assert_equivalent(&cat, &p);
+    (cat, p)
 }
 
 #[test]
-fn diff_cross_product() {
+fn diff_group_agg_fallback_on_range_pivots() {
+    let (cat, p) = prog_group_agg_fallback_on_range_pivots();
+    assert_equivalent(&cat, &p);
+}
+
+fn prog_cross_product() -> (Catalog, Program) {
     let cat = numbers_catalog();
     let mut p = Program::new();
     let a = p.range(0, 3, 1);
     let b = p.range(0, 4, 1);
     let x = p.cross(a, b);
     p.ret(x);
-    assert_equivalent(&cat, &p);
+    (cat, p)
 }
 
 #[test]
-fn diff_zip_project_upsert() {
+fn diff_cross_product() {
+    let (cat, p) = prog_cross_product();
+    assert_equivalent(&cat, &p);
+}
+
+fn prog_zip_project_upsert() -> (Catalog, Program) {
     let cat = numbers_catalog();
     let mut p = Program::new();
     let t = p.load("pairs");
@@ -424,11 +478,16 @@ fn diff_zip_project_upsert() {
     let ups = p.upsert(t, kp(".b"), dbl, kp(".val"));
     p.ret(z);
     p.ret(ups);
-    assert_equivalent(&cat, &p);
+    (cat, p)
 }
 
 #[test]
-fn diff_materialize_break_persist() {
+fn diff_zip_project_upsert() {
+    let (cat, p) = prog_zip_project_upsert();
+    assert_equivalent(&cat, &p);
+}
+
+fn prog_materialize_break_persist() -> (Catalog, Program) {
     let cat = numbers_catalog();
     let mut p = Program::new();
     let t = p.load("nums");
@@ -438,11 +497,16 @@ fn diff_materialize_break_persist() {
     let s = p.fold_sum_global(b);
     p.persist("twice_sum", s);
     p.ret(s);
-    assert_equivalent(&cat, &p);
+    (cat, p)
 }
 
 #[test]
-fn diff_predicated_fk_join() {
+fn diff_materialize_break_persist() {
+    let (cat, p) = prog_materialize_break_persist();
+    assert_equivalent(&cat, &p);
+}
+
+fn prog_predicated_fk_join() -> (Catalog, Program) {
     // Figure 16's predicated-lookup program shape.
     let mut cat = Catalog::in_memory();
     cat.put_i64_column("fact_fk", &[0, 3, 1, 2, 3, 0, 1, 2]);
@@ -458,11 +522,16 @@ fn diff_predicated_fk_join() {
     let masked_val = p.mul(looked, pred);
     let sum = p.fold_sum_global(masked_val);
     p.ret(sum);
-    assert_equivalent(&cat, &p);
+    (cat, p)
 }
 
 #[test]
-fn diff_empty_inputs() {
+fn diff_predicated_fk_join() {
+    let (cat, p) = prog_predicated_fk_join();
+    assert_equivalent(&cat, &p);
+}
+
+fn prog_empty_inputs() -> (Catalog, Program) {
     let mut cat = Catalog::in_memory();
     cat.put_i64_column("empty", &[]);
     let mut p = Program::new();
@@ -471,6 +540,12 @@ fn diff_empty_inputs() {
     let s = p.fold_sum_global(a);
     p.ret(a);
     p.ret(s);
+    (cat, p)
+}
+
+#[test]
+fn diff_empty_inputs() {
+    let (cat, p) = prog_empty_inputs();
     assert_equivalent(&cat, &p);
 }
 
@@ -528,6 +603,224 @@ fn profile_predicated_trades_branches_for_ops() {
         pp.write_bytes > bp.write_bytes,
         "predication adds memory traffic"
     );
+}
+
+/// A `Bin` whose left operand is ε on some lanes (unset scatter slots)
+/// and one whose right operand is: the right side of a `Bin` is only
+/// evaluated where the left is valid.
+fn prog_epsilon_operands() -> (Catalog, Program) {
+    let cat = numbers_catalog();
+    let mut p = Program::new();
+    let t = p.load("nums");
+    let pos = p.range(0, 10, 2);
+    let sc = p.scatter(t, t, pos);
+    let left_eps = p.binary(BinOp::Add, sc, t);
+    let right_eps = p.binary(BinOp::Subtract, t, sc);
+    let s = p.fold_sum_global(left_eps);
+    p.ret(left_eps);
+    p.ret(right_eps);
+    p.ret(s);
+    (cat, p)
+}
+
+#[test]
+fn diff_epsilon_operands() {
+    let (cat, p) = prog_epsilon_operands();
+    assert_equivalent(&cat, &p);
+}
+
+/// Gathers at negative and past-the-end positions yield ε and count no
+/// read.
+fn prog_out_of_range_gather() -> (Catalog, Program) {
+    let cat = numbers_catalog();
+    let mut p = Program::new();
+    let t = p.load("nums");
+    let idx = p.range(-2, 8, 3);
+    let g = p.gather(t, idx);
+    let y = p.mul_const(g, 2i64);
+    let s = p.fold_sum_global(y);
+    p.ret(g);
+    p.ret(s);
+    (cat, p)
+}
+
+#[test]
+fn diff_out_of_range_gather() {
+    let (cat, p) = prog_out_of_range_gather();
+    assert_equivalent(&cat, &p);
+}
+
+/// One inline expression consumed by a write and two folds, and reused
+/// inside a DAG (`(a + a) * a`).
+fn prog_shared_subexpressions() -> (Catalog, Program) {
+    let cat = numbers_catalog();
+    let mut p = Program::new();
+    let t = p.load("nums");
+    let a = p.mul_const(t, 3i64);
+    let b = p.binary(BinOp::Add, a, a);
+    let c = p.binary(BinOp::Multiply, b, a);
+    let s = p.fold_sum_global(a);
+    let mx = p.fold_max_global(a);
+    let sc = p.fold_sum_global(c);
+    p.ret(a);
+    p.ret(s);
+    p.ret(mx);
+    p.ret(sc);
+    (cat, p)
+}
+
+#[test]
+fn diff_shared_subexpressions() {
+    let (cat, p) = prog_shared_subexpressions();
+    assert_equivalent(&cat, &p);
+}
+
+/// A fused filter feeding two gathered columns of one table, and a
+/// gather from a just-in-time materialized (layout-transformed) source
+/// whose columns share one locality site.
+fn prog_filtered_and_transformed_gathers() -> (Catalog, Program) {
+    let cat = numbers_catalog();
+    let mut p = Program::new();
+    let t = p.load("pairs");
+    let pred = p.binary_const(BinOp::Greater, t, kp(".a"), 2i64, kp(".val"));
+    let sel = p.fold_select_global(pred);
+    let g = p.gather(t, sel);
+    let sa = p.fold_agg_kp(AggKind::Sum, g, None, kp(".a"), kp(".sa"));
+    let mb = p.fold_agg_kp(AggKind::Max, g, None, kp(".b"), kp(".mb"));
+    p.ret(sa);
+    p.ret(mb);
+    let z = p.zip_kp(kp(".l"), t, kp(".a"), kp(".r"), t, kp(".b"));
+    let m = p.materialize(z);
+    let idx = p.range(5, 6, -1);
+    let tg = p.gather(m, idx);
+    p.ret(tg);
+    (cat, p)
+}
+
+#[test]
+fn diff_filtered_and_transformed_gathers() {
+    let (cat, p) = prog_filtered_and_transformed_gathers();
+    assert_equivalent(&cat, &p);
+}
+
+/// A float sum and prefix scan (one morsel, serial order) next to a
+/// chunk-controlled vectorized selection.
+fn prog_float_scan_and_vectorized_select() -> (Catalog, Program) {
+    let mut cat = numbers_catalog();
+    cat.put_i64_column(
+        "big",
+        &(0..1000i64).map(|i| (i * 37) % 101).collect::<Vec<_>>(),
+    );
+    let mut p = Program::new();
+    let f = p.load("floats");
+    let sq = p.mul(f, f);
+    let fs = p.fold_sum_global(sq);
+    let scan = p.fold_scan_global(sq);
+    p.ret(fs);
+    p.ret(scan);
+    let t = p.load("big");
+    let pred = p.greater_const(t, 50i64);
+    let ids = p.range_like(0, pred, 1);
+    let chunk_ids = p.div_const(ids, 128);
+    let sel = p.fold_select(chunk_ids, pred);
+    let vals = p.gather(t, sel);
+    let sum = p.fold_sum_global(vals);
+    p.ret(sum);
+    (cat, p)
+}
+
+#[test]
+fn diff_float_scan_and_vectorized_select() {
+    let (cat, p) = prog_float_scan_and_vectorized_select();
+    assert_equivalent(&cat, &p);
+}
+
+// ---------------------------------------------------------------------
+// Event-count golden
+// ---------------------------------------------------------------------
+
+/// Every differential program above, by name.
+fn golden_programs() -> Vec<(&'static str, fn() -> (Catalog, Program))> {
+    vec![
+        ("elementwise_chain", prog_elementwise_chain),
+        ("comparisons_and_logic", prog_comparisons_and_logic),
+        ("float_arithmetic", prog_float_arithmetic),
+        ("fold_variants", prog_fold_variants),
+        ("fold_select_materialized", prog_fold_select_materialized),
+        (
+            "fold_select_chunked_materialized",
+            prog_fold_select_chunked_materialized,
+        ),
+        ("gather_and_scatter", prog_gather_and_scatter),
+        (
+            "partition_and_grouped_scatter",
+            prog_partition_and_grouped_scatter,
+        ),
+        ("virtual_scatter_group_agg", prog_virtual_scatter_group_agg),
+        (
+            "group_agg_fallback_on_range_pivots",
+            prog_group_agg_fallback_on_range_pivots,
+        ),
+        ("cross_product", prog_cross_product),
+        ("zip_project_upsert", prog_zip_project_upsert),
+        ("materialize_break_persist", prog_materialize_break_persist),
+        ("predicated_fk_join", prog_predicated_fk_join),
+        ("empty_inputs", prog_empty_inputs),
+        ("epsilon_operands", prog_epsilon_operands),
+        ("out_of_range_gather", prog_out_of_range_gather),
+        ("shared_subexpressions", prog_shared_subexpressions),
+        (
+            "filtered_and_transformed_gathers",
+            prog_filtered_and_transformed_gathers,
+        ),
+        (
+            "float_scan_and_vectorized_select",
+            prog_float_scan_and_vectorized_select,
+        ),
+    ]
+}
+
+/// The per-unit event profiles of every differential program at
+/// `Parallelism::Off`, in branching and predicated mode, are pinned
+/// exactly: the GPU cost model and the paper-figure harness price plans
+/// from these counts, so a kernel rewrite must reproduce them event for
+/// event. On a mismatch the actual rendering is written next to the
+/// test binary's temp dir for review.
+#[test]
+fn event_profiles_match_golden() {
+    let mut actual = String::new();
+    for (name, build) in golden_programs() {
+        let (cat, p) = build();
+        let cp = Compiler::new(&cat).compile(&p).expect("compile");
+        for predicated in [false, true] {
+            let exec = Executor::new(ExecOptions {
+                count_events: true,
+                predicated_select: predicated,
+                ..Default::default()
+            });
+            let (_, total, units) = exec.run_with_unit_profiles(&cp, &cat).expect("exec");
+            actual.push_str(&format!("{name} predicated={predicated}\n"));
+            for (ui, up) in units.iter().enumerate() {
+                actual.push_str(&format!("  unit {ui}: {up:?}\n"));
+            }
+            actual.push_str(&format!("  total: {total:?}\n"));
+        }
+    }
+    let golden = include_str!("golden_events.txt");
+    if actual != golden {
+        let path = std::env::temp_dir().join("voodoo_compile_golden_events.actual.txt");
+        let _ = std::fs::write(&path, &actual);
+        let first = actual
+            .lines()
+            .zip(golden.lines())
+            .find(|(a, g)| a != g)
+            .map(|(a, g)| format!("actual: {a}\ngolden: {g}"))
+            .unwrap_or_else(|| "line counts differ".to_string());
+        panic!(
+            "event profiles diverge from golden_events.txt ({} written):\n{first}",
+            path.display()
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
