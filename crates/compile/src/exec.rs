@@ -37,13 +37,15 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use voodoo_core::{
-    AggKind, BinOp, Column, KeyPath, Op, Result, ScalarType, ScalarValue, StructuredVector, VRef,
-    VoodooError,
+    AggKind, BinOp, Buffer, Column, KeyPath, Op, Result, ScalarType, ScalarValue,
+    StructuredVector, VRef, VoodooError,
 };
 use voodoo_interp::ExecOutput;
 use voodoo_storage::{Catalog, Morsel, Partitioning, DEFAULT_STEAL_GRAIN};
 
-use crate::expr::{Env, Expr};
+use crate::expr::{
+    store_lanes, total_key, Active, Chunks, Dag, Env, Expr, Lanes, SourceCol, View, CHUNK,
+};
 use crate::plan::{
     Action, Bulk, CompiledProgram, Fragment, GroupFold, Layout, RunStructure, Unit, VsFold,
 };
@@ -339,36 +341,30 @@ impl Executor {
         }
     }
 
-    /// A fresh expression environment under these options.
-    fn env<'a>(&self, cp: &CompiledProgram, sources: &'a [Option<Arc<MatVec>>]) -> Env<'a> {
-        Env::new(
-            sources,
-            self.opts.count_events,
-            cp.branch_sites,
-            cp.gather_sites,
-        )
-        .with_predication(self.opts.predicated_select)
+    /// Fresh event counters under these options.
+    fn env(&self, cp: &CompiledProgram) -> Env {
+        Env::new(self.opts.count_events, cp.branch_sites, cp.gather_sites)
+            .with_predication(self.opts.predicated_select)
     }
 
     /// The morsel driver: run `body` once per morsel of `parts`, each
-    /// with its own environment, and return the partials in morsel
+    /// with its own event counters, and return the partials in morsel
     /// order, merging each morsel's event profile into `profile`. A
     /// single morsel runs inline on the calling thread; more go to the
     /// current thread's persistent pool ([`crate::pool::current`]).
     fn drive<T, F>(
         &self,
         cp: &CompiledProgram,
-        sources: &[Option<Arc<MatVec>>],
         parts: &Partitioning,
         profile: &mut EventProfile,
         body: F,
     ) -> Vec<T>
     where
         T: Send,
-        F: Fn(Morsel, &mut Env<'_>) -> T + Sync,
+        F: Fn(Morsel, &mut Env) -> T + Sync,
     {
         let task = |m: Morsel| {
-            let mut env = self.env(cp, sources);
+            let mut env = self.env(cp);
             let out = body(m, &mut env);
             (out, env.profile)
         };
@@ -402,7 +398,7 @@ impl Executor {
     ///   a morsel, so the concatenation is exactly the serial ordering),
     ///   ε-padding the tail — the §2.2 padding argument is what makes
     ///   the morsels independent;
-    /// * everything else — stitch the morsel segments by offset.
+    /// * everything else — concatenate the morsel segments.
     fn exec_fragment(
         &self,
         cp: &CompiledProgram,
@@ -450,10 +446,13 @@ impl Executor {
             RunStructure::Dynamic(_) => (domain.max(1), false),
         };
         let parts = self.layout(domain.div_ceil(unit_len), domain, parallel_ok);
-        let partials = self.drive(cp, values, &parts, profile, |m, env| {
-            let range = (m.start * unit_len, (m.end * unit_len).min(domain));
-            self.run_fragment_range(frag, range, env)
-        });
+        let mut partials = {
+            let sources: &[Option<Arc<MatVec>>] = values;
+            self.drive(cp, &parts, profile, |m, env| {
+                let range = (m.start * unit_len, (m.end * unit_len).min(domain));
+                self.run_fragment_range(frag, sources, range, env)
+            })
+        };
 
         let run_len = match frag.run {
             RunStructure::Uniform(l) => l,
@@ -462,7 +461,6 @@ impl Executor {
         };
         for (oi, spec) in frag.outputs.iter().enumerate() {
             let full_len = full_len_of(spec.layout, domain, run_len);
-            let mut col = Column::empties(spec.ty, full_len);
             let fold_action = frag.actions.iter().enumerate().find_map(|(ai, a)| match a {
                 Action::FoldAggAct { out, agg, .. } if single && *out == oi => Some((ai, *agg)),
                 _ => None,
@@ -472,7 +470,8 @@ impl Executor {
                     .actions
                     .iter()
                     .any(|a| matches!(a, Action::SelectEmit { out, .. } if *out == oi));
-            if let Some((ai, agg)) = fold_action {
+            let col = if let Some((ai, agg)) = fold_action {
+                let mut col = Column::empties(spec.ty, full_len);
                 let mut acc: Option<ScalarValue> = None;
                 for (_, accs) in &partials {
                     if let Some(v) = accs[ai] {
@@ -485,35 +484,32 @@ impl Executor {
                 if let Some(v) = acc {
                     col.set(0, v);
                 }
+                col
             } else if is_select {
+                // Positions are emitted as a compact prefix per morsel;
+                // the first ε ends that morsel's output.
+                let mut out = OutBuf::new(spec.ty, full_len);
                 let mut off = 0usize;
                 for (segs, _) in &partials {
                     let seg = &segs[oi];
-                    for i in 0..seg.len() {
-                        match seg.get(i) {
-                            Some(v) => {
-                                col.set(off, v);
-                                off += 1;
-                            }
-                            // Positions are emitted as a compact prefix;
-                            // the first ε ends this morsel's output.
-                            None => break,
-                        }
-                    }
+                    let n = seg.empty_mask().iter().position(|&e| e).unwrap_or(seg.len());
+                    out.copy_from(off, seg, 0, n);
+                    off += n;
                 }
+                out.into_column()
             } else {
-                let mut off = 0usize;
-                for (segs, _) in &partials {
-                    let seg = &segs[oi];
-                    for i in 0..seg.len() {
-                        match seg.get(i) {
-                            Some(v) => col.set(off + i, v),
-                            None => col.clear(off + i),
-                        }
-                    }
-                    off += seg.len();
+                let mut segs = partials.iter_mut().map(|(segs, _)| {
+                    std::mem::replace(&mut segs[oi], Column::empties(spec.ty, 0))
+                });
+                let mut col = segs
+                    .next()
+                    .unwrap_or_else(|| Column::empties(spec.ty, 0));
+                for seg in segs {
+                    col.extend_from(&seg);
                 }
-            }
+                debug_assert_eq!(col.len(), full_len);
+                col
+            };
             if self.opts.count_events {
                 profile.write_bytes += (full_len * spec.ty.byte_width()) as u64;
             }
@@ -548,157 +544,213 @@ impl Executor {
     /// element, a `Dense` slot per complete run. A global run is cut at
     /// the morsel itself, and its fold partials come back as the
     /// accumulators for the caller's merge.
+    ///
+    /// The morsel is evaluated chunk by chunk; each action then consumes
+    /// whole registers, split only at run boundaries.
     fn run_fragment_range(
         &self,
         frag: &Fragment,
+        sources: &[Option<Arc<MatVec>>],
         (s, e): (usize, usize),
-        env: &mut Env<'_>,
+        env: &mut Env,
     ) -> (Vec<Column>, Vec<Option<ScalarValue>>) {
+        let dynamic = matches!(frag.run, RunStructure::Dynamic(_));
+        let single = matches!(frag.run, RunStructure::Single);
         let run_len = match frag.run {
             RunStructure::Uniform(l) => l,
             RunStructure::Map => 1,
-            _ => e - s,
+            _ => (e - s).max(1),
         };
-        let single = matches!(frag.run, RunStructure::Single);
-        let mut segs: Vec<Column> = frag
+        let mut segs: Vec<OutBuf> = frag
             .outputs
             .iter()
             .map(|spec| match spec.layout {
-                Layout::Full => Column::empties(spec.ty, e - s),
+                Layout::Full => OutBuf::new(spec.ty, e - s),
                 // Global-run fold results travel in the accumulators.
-                Layout::Dense if single => Column::empties(spec.ty, 0),
-                Layout::Dense => Column::empties(spec.ty, (e - s).div_ceil(run_len)),
+                Layout::Dense if single => OutBuf::new(spec.ty, 0),
+                Layout::Dense => OutBuf::new(spec.ty, (e - s).div_ceil(run_len)),
             })
             .collect();
-        let mut accs: Vec<Option<ScalarValue>> = vec![None; frag.actions.len()];
-        let mut cursors: Vec<usize> = vec![s; frag.actions.len()];
-
-        if let RunStructure::Dynamic(ctrl) = &frag.run {
-            let mut run_start = s;
-            let mut current: Option<ScalarValue> = None;
-            let flush = |segs: &mut Vec<Column>,
-                         accs: &mut Vec<Option<ScalarValue>>,
-                         run_start: usize,
-                         actions: &[Action]| {
-                for (ai, action) in actions.iter().enumerate() {
-                    if let Action::FoldAggAct { out, .. } = action {
-                        if let Some(v) = accs[ai] {
-                            segs[*out].set(run_start - s, v);
-                        }
-                        accs[ai] = None;
-                    }
-                }
-            };
-            for i in s..e {
-                let cv = ctrl.eval(i, env);
-                if i == s {
-                    current = cv;
-                } else if cv != current {
-                    flush(&mut segs, &mut accs, run_start, &frag.actions);
-                    run_start = i;
-                    current = cv;
-                    cursors.fill(i);
-                }
-                self.step(frag, i, s, &mut segs, &mut accs, &mut cursors, env);
-            }
-            if e > s {
-                flush(&mut segs, &mut accs, run_start, &frag.actions);
-            }
-            return (segs, accs);
-        }
-
-        for (slot, rs) in (s..e).step_by(run_len.max(1)).enumerate() {
-            let re = (rs + run_len).min(e);
-            accs.fill(None);
-            cursors.fill(rs);
-            for i in rs..re {
-                self.step(frag, i, s, &mut segs, &mut accs, &mut cursors, env);
-            }
-            // Flush per-run folds at their run slot, fix predicated tails.
+        let mut run = RunState {
+            accs: vec![None; frag.actions.len()],
+            cursors: vec![s; frag.actions.len()],
+            last_taken: vec![true; frag.actions.len()],
+            start: s,
+        };
+        // Root `k + first` is action `k`'s expression.
+        let first = dynamic as usize;
+        let has_runs = frag
+            .actions
+            .iter()
+            .any(|a| !matches!(a, Action::Write { .. }));
+        let mut current: Option<ScalarValue> = None;
+        let mut ch = Chunks::new(&frag.dag, sources, env.counting);
+        let active = vec![Active::All; frag.dag.roots.len()];
+        let mut c0 = s;
+        while c0 < e {
+            let len = CHUNK.min(e - c0);
+            ch.compute(c0, len);
+            ch.count(&active, env);
             for (ai, action) in frag.actions.iter().enumerate() {
-                match action {
-                    Action::FoldAggAct { out, .. } if !single => {
-                        if let Some(v) = accs[ai] {
-                            segs[*out].set(slot, v);
-                        }
-                    }
-                    Action::SelectEmit { out, .. }
-                        if self.opts.predicated_select && cursors[ai] < re =>
-                    {
-                        segs[*out].clear(cursors[ai] - s);
-                    }
-                    _ => {}
+                if let Action::Write { out, .. } = action {
+                    segs[*out].store(c0 - s, &ch.root(first + ai), 0, len);
                 }
             }
+            let mut a = 0;
+            while has_runs && a < len {
+                let i = c0 + a;
+                // The segment [a, b) of this chunk lies in one run.
+                let b = if dynamic {
+                    let ctrl = ch.root(0);
+                    let cv = ctrl.get(a);
+                    if i == s {
+                        current = cv;
+                    } else if cv != current {
+                        self.flush_dynamic_run(frag, &mut run, &mut segs, i, s);
+                        current = cv;
+                    }
+                    (a + 1..len).find(|&k| ctrl.get(k) != current).unwrap_or(len)
+                } else {
+                    if (i - s) % run_len == 0 {
+                        if i > s {
+                            self.flush_run(frag, &run, &mut segs, s, run_len);
+                        }
+                        run.accs.fill(None);
+                        run.cursors.fill(i);
+                        run.start = i;
+                    }
+                    (run_len - (i - s) % run_len).min(len - a) + a
+                };
+                for (ai, action) in frag.actions.iter().enumerate() {
+                    let v = ch.root(first + ai);
+                    self.apply(action, ai, &v, c0, a, b, s, &mut run, &mut segs, env);
+                }
+                a = b;
+            }
+            c0 += len;
         }
-        (segs, accs)
+        if has_runs && e > s {
+            if dynamic {
+                self.flush_dynamic_run(frag, &mut run, &mut segs, e, s);
+            } else if !single {
+                self.flush_run(frag, &run, &mut segs, s, run_len);
+            }
+        }
+        (segs.into_iter().map(OutBuf::into_column).collect(), run.accs)
     }
 
-    /// Process one element against every action of the fragment.
+    /// Apply one non-`Write` action to lanes `[a, b)` of the chunk at
+    /// `c0` (all in the current run).
     #[allow(clippy::too_many_arguments)]
-    fn step(
+    fn apply(
         &self,
-        frag: &Fragment,
-        i: usize,
-        elem_base: usize,
-        segs: &mut [Column],
-        accs: &mut [Option<ScalarValue>],
-        cursors: &mut [usize],
-        env: &mut Env<'_>,
+        action: &Action,
+        ai: usize,
+        v: &View<'_>,
+        c0: usize,
+        a: usize,
+        b: usize,
+        s: usize,
+        run: &mut RunState,
+        segs: &mut [OutBuf],
+        env: &mut Env,
     ) {
-        for (ai, action) in frag.actions.iter().enumerate() {
-            match action {
-                Action::Write { out, expr } => {
-                    if let Some(v) = expr.eval(i, env) {
-                        segs[*out].set(i - elem_base, v);
-                    }
-                }
-                Action::FoldAggAct {
-                    agg, expr, out_ty, ..
-                } => {
-                    if let Some(v) = expr.eval(i, env) {
-                        let v = v.cast(*out_ty);
-                        accs[ai] = Some(match accs[ai] {
-                            None => v,
-                            Some(a) => combine(*agg, a, v),
-                        });
-                        count_acc(env, *out_ty);
-                    }
-                }
-                Action::FoldScanAct { out, expr, out_ty } => {
-                    if let Some(v) = expr.eval(i, env) {
-                        let v = v.cast(*out_ty);
-                        let next = match accs[ai] {
-                            None => v,
-                            Some(a) => combine(AggKind::Sum, a, v),
+        match action {
+            Action::Write { .. } => {}
+            Action::FoldAggAct { agg, out_ty, .. } => {
+                let n = fold_lanes(*agg, *out_ty, v, a, b, &mut run.accs[ai]);
+                count_accs(env, *out_ty, n);
+            }
+            Action::FoldScanAct { out, out_ty, .. } => {
+                for k in a..b {
+                    if let Some(x) = v.get(k) {
+                        let x = x.cast(*out_ty);
+                        let next = match run.accs[ai] {
+                            None => x,
+                            Some(acc) => combine(AggKind::Sum, acc, x),
                         };
-                        accs[ai] = Some(next);
-                        segs[*out].set(i - elem_base, next);
-                        count_acc(env, *out_ty);
+                        run.accs[ai] = Some(next);
+                        segs[*out].set(c0 + k - s, next);
+                        count_accs(env, *out_ty, 1);
                     }
                 }
-                Action::SelectEmit { out, sel, site } => {
-                    let taken = sel.eval(i, env).map(|v| v.is_truthy()).unwrap_or(false);
+            }
+            Action::SelectEmit { out, site, .. } => {
+                let seg = &mut segs[*out];
+                for k in a..b {
+                    let taken = v.truthy(k);
                     if self.opts.predicated_select {
                         // Branch-free cursor arithmetic (Ross-style [28]):
-                        // unconditional write, cursor advances by the
-                        // predicate outcome.
-                        segs[*out].set(cursors[ai] - elem_base, ScalarValue::I64(i as i64));
-                        cursors[ai] += taken as usize;
+                        // an unconditional write, the cursor advancing by
+                        // the predicate outcome.
                         if env.counting {
                             env.profile.int_ops += 1;
                             env.profile.write_bytes += 8;
                         }
                     } else {
                         env.count_branch(*site, taken);
-                        if taken {
-                            segs[*out].set(cursors[ai] - elem_base, ScalarValue::I64(i as i64));
-                            cursors[ai] += 1;
-                        }
                     }
+                    if taken {
+                        seg.set(run.cursors[ai] - s, ScalarValue::I64((c0 + k) as i64));
+                        run.cursors[ai] += 1;
+                    }
+                    run.last_taken[ai] = taken;
                 }
             }
         }
+    }
+
+    /// End of a Map/Uniform run: store per-run folds at their run slot.
+    /// (A predicated emission's overwritten tail slot stays ε, exactly
+    /// as the branching emission leaves it.)
+    fn flush_run(
+        &self,
+        frag: &Fragment,
+        run: &RunState,
+        segs: &mut [OutBuf],
+        s: usize,
+        run_len: usize,
+    ) {
+        let slot = (run.start - s) / run_len;
+        for (ai, action) in frag.actions.iter().enumerate() {
+            if let (Action::FoldAggAct { out, .. }, Some(v)) = (action, run.accs[ai]) {
+                segs[*out].set(slot, v);
+            }
+        }
+    }
+
+    /// End of a dynamic run at `end`: store folds at the run's first
+    /// slot and restart folds and cursors. Scans carry on across runs,
+    /// and a predicated emission leaves its last unconditional write in
+    /// place (the dynamic loop has no tail fix-up).
+    fn flush_dynamic_run(
+        &self,
+        frag: &Fragment,
+        run: &mut RunState,
+        segs: &mut [OutBuf],
+        end: usize,
+        s: usize,
+    ) {
+        for (ai, action) in frag.actions.iter().enumerate() {
+            match action {
+                Action::FoldAggAct { out, .. } => {
+                    if let Some(v) = run.accs[ai].take() {
+                        segs[*out].set(run.start - s, v);
+                    }
+                }
+                Action::SelectEmit { out, .. }
+                    if self.opts.predicated_select
+                        && !run.last_taken[ai]
+                        && run.cursors[ai] < end =>
+                {
+                    segs[*out].set(run.cursors[ai] - s, ScalarValue::I64(end as i64 - 1));
+                }
+                _ => {}
+            }
+        }
+        run.cursors.fill(end);
+        run.last_taken.fill(true);
+        run.start = end;
     }
 
     // ------------------------------------------------------------------
@@ -718,7 +770,8 @@ impl Executor {
                 domain,
                 out_len,
                 cols,
-                pos,
+                dag,
+                ..
             } => {
                 // The analyzer classified scatters as SerialApply: the
                 // position and value expressions (the gather-heavy build
@@ -727,21 +780,17 @@ impl Executor {
                 // bit for bit.
                 let parallel_ok = cp.verdict(*stmt).eval_parallel_apply_serial();
                 let parts = self.layout(*domain, *domain, parallel_ok);
-                let partials = self.drive(cp, values, &parts, profile, |m, env| {
-                    scatter_eval_range(cols, pos, *out_len, m, env)
+                let sources: &[Option<Arc<MatVec>>] = values;
+                let partials = self.drive(cp, &parts, profile, |m, env| {
+                    scatter_eval_range(dag, sources, cols, *out_len, m, env)
                 });
-                let mut out_cols: Vec<Column> = cols
+                let mut out_cols: Vec<OutBuf> = cols
                     .iter()
-                    .map(|(_, ty, _)| Column::empties(*ty, *out_len))
+                    .map(|(_, ty, _)| OutBuf::new(*ty, *out_len))
                     .collect();
                 for (hits, vals) in &partials {
-                    for (k, &p) in hits.iter().enumerate() {
-                        for (ci, vcol) in vals.iter().enumerate() {
-                            match vcol.get(k) {
-                                Some(v) => out_cols[ci].set(p, v),
-                                None => out_cols[ci].clear(p),
-                            }
-                        }
+                    for (dst, src) in out_cols.iter_mut().zip(vals) {
+                        dst.scatter(hits, src);
                     }
                 }
                 profile.work_items += *domain as u64;
@@ -749,7 +798,7 @@ impl Executor {
                 profile.max_par = (*domain as u64 / 1024).max(1);
                 let mut sv = StructuredVector::with_len(*out_len);
                 for ((kp, _, _), col) in cols.iter().zip(out_cols) {
-                    sv.insert(kp.clone(), col);
+                    sv.insert(kp.clone(), col.into_column());
                 }
                 values[stmt.index()] = Some(Arc::new(MatVec::Full(sv)));
                 Ok(())
@@ -758,24 +807,22 @@ impl Executor {
                 stmt,
                 domain,
                 out_kp,
-                key,
-                pivot,
                 pivot_len,
+                key_dag,
+                pivot_dag,
+                ..
             } => {
-                let mut env = self.env(cp, values);
-                let piv = eval_pivots(pivot, *pivot_len, &mut env);
-                let keys: Vec<Option<i64>> = (0..*domain)
-                    .map(|i| key.eval(i, &mut env).map(to_key))
-                    .collect();
+                let mut env = self.env(cp);
+                let piv = eval_pivots(pivot_dag, *pivot_len, values, &mut env);
+                let keys = eval_keys(key_dag, *domain, values, &mut env);
                 let positions = counting_sort_positions(&keys, &piv);
                 profile.merge(&env.profile);
                 profile.work_items += 1;
                 profile.elements += *domain as u64;
                 profile.max_par = (*domain as u64 / 1024).max(1);
-                let mut col = Column::empties(ScalarType::I64, *domain);
-                for (i, p) in positions.iter().enumerate() {
-                    col.set(i, ScalarValue::I64(*p as i64));
-                }
+                let col = Column::from_buffer(Buffer::I64(
+                    positions.iter().map(|&p| p as i64).collect(),
+                ));
                 let mut sv = StructuredVector::with_len(*domain);
                 sv.insert(out_kp.clone(), col);
                 values[stmt.index()] = Some(Arc::new(MatVec::Full(sv)));
@@ -786,9 +833,10 @@ impl Executor {
                 select: _,
                 domain,
                 chunk,
-                sel,
                 site,
                 folds,
+                dag,
+                ..
             } => {
                 let n_chunks = domain.div_ceil(*chunk);
                 // Chunks are already independent (each fills its own
@@ -800,8 +848,9 @@ impl Executor {
                     .iter()
                     .all(|f| cp.verdict(f.stmt).combines_associatively());
                 let parts = self.layout(n_chunks, *domain, parallel_ok);
-                let partials = self.drive(cp, values, &parts, profile, |m, env| {
-                    self.vec_select_chunks(*domain, *chunk, sel, *site, folds, m, env)
+                let sources: &[Option<Arc<MatVec>>] = values;
+                let partials = self.drive(cp, &parts, profile, |m, env| {
+                    self.vec_select_chunks(dag, sources, *domain, *chunk, *site, folds, m, env)
                 });
                 let mut accs: Vec<Option<ScalarValue>> = vec![None; folds.len()];
                 for partial in partials {
@@ -843,54 +892,61 @@ impl Executor {
     #[allow(clippy::too_many_arguments)]
     fn vec_select_chunks(
         &self,
+        dag: &Dag,
+        sources: &[Option<Arc<MatVec>>],
         domain: usize,
         chunk: usize,
-        sel: &Expr,
         site: usize,
         folds: &[VsFold],
         chunks: Morsel,
-        env: &mut Env<'_>,
+        env: &mut Env,
     ) -> Vec<Option<ScalarValue>> {
-        let srcs: Vec<Arc<MatVec>> = folds
+        let srcs: Vec<SourceCol<'_>> = folds
             .iter()
-            .map(|f| env.sources[f.src.index()].clone().expect("vs source"))
+            .map(|f| SourceCol::resolve(sources, f.src.0, f.src_col as u16))
             .collect();
         let mut accs: Vec<Option<ScalarValue>> = vec![None; folds.len()];
         let mut last_pos: Vec<i64> = vec![i64::MIN / 2; folds.len()];
         let mut posbuf: Vec<usize> = vec![0; chunk];
+        let mut ch = Chunks::new(dag, sources, env.counting);
         for ci in chunks.start..chunks.end {
             let c0 = ci * chunk;
             let c1 = (c0 + chunk).min(domain);
             // Loop 1: emit qualifying positions into the chunk-local
             // buffer (cache resident).
             let mut count = 0usize;
-            if self.opts.predicated_select {
-                for i in c0..c1 {
-                    let t = sel.eval(i, env).map(|v| v.is_truthy()).unwrap_or(false);
-                    posbuf[count] = i;
-                    count += t as usize;
-                    if env.counting {
-                        env.profile.int_ops += 1;
-                        env.profile.write_bytes += 8;
-                    }
-                }
-            } else {
-                for i in c0..c1 {
-                    let t = sel.eval(i, env).map(|v| v.is_truthy()).unwrap_or(false);
-                    env.count_branch(site, t);
-                    if t {
-                        posbuf[count] = i;
-                        count += 1;
+            let mut p0 = c0;
+            while p0 < c1 {
+                let len = CHUNK.min(c1 - p0);
+                ch.compute(p0, len);
+                ch.count(&[Active::All], env);
+                let sel = ch.root(0);
+                for k in 0..len {
+                    let t = sel.truthy(k);
+                    if self.opts.predicated_select {
+                        posbuf[count] = p0 + k;
+                        count += t as usize;
                         if env.counting {
+                            env.profile.int_ops += 1;
                             env.profile.write_bytes += 8;
+                        }
+                    } else {
+                        env.count_branch(site, t);
+                        if t {
+                            posbuf[count] = p0 + k;
+                            count += 1;
+                            if env.counting {
+                                env.profile.write_bytes += 8;
+                            }
                         }
                     }
                 }
+                p0 += len;
             }
             // Loop 2: resolve positions and accumulate.
             for &p in &posbuf[..count] {
                 for (fi, f) in folds.iter().enumerate() {
-                    if let Some(v) = srcs[fi].get(f.src_col, p) {
+                    if let Some(v) = srcs[fi].get(p) {
                         let v = v.cast(f.out_ty);
                         accs[fi] = Some(match accs[fi] {
                             None => v,
@@ -907,7 +963,7 @@ impl Executor {
                                 env.profile.rand_reads += 1;
                             }
                         }
-                        count_acc(env, f.out_ty);
+                        count_accs(env, f.out_ty, 1);
                     }
                 }
             }
@@ -931,18 +987,18 @@ impl Executor {
         let Bulk::GroupAgg {
             domain,
             out_len,
-            key,
-            pivot,
             pivot_len,
             folds,
+            agg_dag,
+            pivot_dag,
             ..
         } = bulk
         else {
             unreachable!()
         };
         let piv = {
-            let mut env = self.env(cp, values);
-            let piv = eval_pivots(pivot, *pivot_len, &mut env);
+            let mut env = self.env(cp);
+            let piv = eval_pivots(pivot_dag, *pivot_len, values, &mut env);
             profile.merge(&env.profile);
             piv
         };
@@ -961,8 +1017,9 @@ impl Executor {
                 .iter()
                 .all(|f| cp.verdict(f.stmt).combines_associatively());
             let parts = self.layout(*domain, *domain, parallel_ok);
-            let partials = self.drive(cp, values, &parts, profile, |m, env| {
-                group_agg_range(key, folds, &piv, nb, m, env)
+            let sources: &[Option<Arc<MatVec>>] = values;
+            let partials = self.drive(cp, &parts, profile, |m, env| {
+                group_agg_range(agg_dag, sources, folds, &piv, nb, m, env)
             });
             for p in partials {
                 mismatch |= p.mismatch;
@@ -1008,14 +1065,14 @@ impl Executor {
             acc += c;
         }
         for (fi, f) in folds.iter().enumerate() {
-            let mut col = Column::empties(f.out_ty, nb);
+            let mut col = OutBuf::new(f.out_ty, nb);
             for (b, v) in accs[fi].iter().enumerate() {
                 if let Some(v) = v {
                     col.set(b, *v);
                 }
             }
             let mut sv = StructuredVector::with_len(nb);
-            sv.insert(f.out_kp.clone(), col);
+            sv.insert(f.out_kp.clone(), col.into_column());
             values[f.stmt.index()] = Some(Arc::new(MatVec::GroupDense {
                 values: sv,
                 starts: starts.clone(),
@@ -1037,49 +1094,59 @@ impl Executor {
         let Bulk::GroupAgg {
             domain,
             out_len,
-            key,
-            pivot,
             pivot_len,
             folds,
             scatter_cols,
             key_col,
+            pivot_dag,
+            key_dag,
+            cols_dag,
             ..
         } = bulk
         else {
             unreachable!()
         };
-        let mut env = self.env(cp, values);
-        let piv = eval_pivots(pivot, *pivot_len, &mut env);
-        let keys: Vec<Option<i64>> = (0..*domain)
-            .map(|i| key.eval(i, &mut env).map(to_key))
-            .collect();
+        let mut env = self.env(cp);
+        let piv = eval_pivots(pivot_dag, *pivot_len, values, &mut env);
+        let keys = eval_keys(key_dag, *domain, values, &mut env);
         let positions = counting_sort_positions(&keys, &piv);
         // Materialize the scattered vector.
-        let mut out_cols: Vec<Column> = scatter_cols
+        let mut out_cols: Vec<OutBuf> = scatter_cols
             .iter()
-            .map(|(_, ty, _)| Column::empties(*ty, *out_len))
+            .map(|(_, ty, _)| OutBuf::new(*ty, *out_len))
             .collect();
-        for (i, &p) in positions.iter().enumerate() {
-            if p >= *out_len {
-                continue;
-            }
-            for (ci, (_, _, expr)) in scatter_cols.iter().enumerate() {
-                match expr.eval(i, &mut env) {
-                    Some(v) => out_cols[ci].set(p, v),
-                    None => out_cols[ci].clear(p),
+        {
+            let mut ch = Chunks::new(cols_dag, values, env.counting);
+            let mut ok = vec![false; CHUNK];
+            let mut c0 = 0;
+            while c0 < *domain {
+                let len = CHUNK.min(*domain - c0);
+                ch.compute(c0, len);
+                for (k, o) in ok[..len].iter_mut().enumerate() {
+                    *o = positions[c0 + k] < *out_len;
                 }
-            }
-            if env.counting {
-                env.profile.rand_writes += scatter_cols.len() as u64;
+                let active = vec![Active::Lanes(&ok[..len]); scatter_cols.len()];
+                ch.count(&active, &mut env);
+                for k in (0..len).filter(|&k| ok[k]) {
+                    let p = positions[c0 + k];
+                    for (ci, col) in out_cols.iter_mut().enumerate() {
+                        match ch.root(ci).get(k) {
+                            Some(v) => col.set(p, v),
+                            None => col.clear(p),
+                        }
+                    }
+                    if env.counting {
+                        env.profile.rand_writes += scatter_cols.len() as u64;
+                    }
+                }
+                c0 += len;
             }
         }
-        // End the read borrow of `values` before writing fold outputs.
-        let env_profile = env.profile;
-        drop(env);
+        let out_cols: Vec<Column> = out_cols.into_iter().map(OutBuf::into_column).collect();
         // Dynamic-run folds over the scattered key column.
         let key_vals = &out_cols[*key_col];
         for f in folds {
-            let mut out = Column::empties(f.out_ty, *out_len);
+            let mut out = OutBuf::new(f.out_ty, *out_len);
             let mut acc: Option<ScalarValue> = None;
             let mut run_start = 0usize;
             let mut current: Option<ScalarValue> = None;
@@ -1108,45 +1175,161 @@ impl Executor {
                 }
             }
             let mut sv = StructuredVector::with_len(*out_len);
-            sv.insert(f.out_kp.clone(), out);
+            sv.insert(f.out_kp.clone(), out.into_column());
             values[f.stmt.index()] = Some(Arc::new(MatVec::Full(sv)));
         }
-        profile.merge(&env_profile);
+        profile.merge(&env.profile);
         Ok(())
+    }
+}
+
+/// Per-morsel run state of a fragment: fold accumulators, emission
+/// cursors, and where the current run began.
+struct RunState {
+    accs: Vec<Option<ScalarValue>>,
+    cursors: Vec<usize>,
+    /// Whether each emission's most recent row was selected.
+    last_taken: Vec<bool>,
+    start: usize,
+}
+
+/// An output column under construction: typed values plus ε mask,
+/// turned into a [`Column`] once complete.
+struct OutBuf {
+    data: Buffer,
+    empty: Vec<bool>,
+}
+
+impl OutBuf {
+    /// `len` ε slots.
+    fn new(ty: ScalarType, len: usize) -> OutBuf {
+        OutBuf {
+            data: Buffer::with_len(ty, len),
+            empty: vec![true; len],
+        }
+    }
+
+    fn set(&mut self, i: usize, v: ScalarValue) {
+        self.data.set(i, v);
+        self.empty[i] = false;
+    }
+
+    /// Mark slot `i` ε (its stale value stays, as `Column::clear` leaves
+    /// it).
+    fn clear(&mut self, i: usize) {
+        self.empty[i] = true;
+    }
+
+    fn push(&mut self, v: Option<ScalarValue>) {
+        match v {
+            Some(v) => {
+                self.data.push(v);
+                self.empty.push(false);
+            }
+            None => {
+                self.data.push(ScalarValue::I64(0));
+                self.empty.push(true);
+            }
+        }
+    }
+
+    /// Store lanes `[a, b)` of a register at slots `off..`.
+    fn store(&mut self, off: usize, v: &View<'_>, a: usize, b: usize) {
+        store_lanes(v, a, b, &mut self.data, &mut self.empty, off);
+    }
+
+    /// Copy slots `[from, from + n)` of `src` (same type) to `off..`.
+    fn copy_from(&mut self, off: usize, src: &Column, from: usize, n: usize) {
+        macro_rules! cp {
+            ($d:expr, $s:expr) => {
+                $d[off..off + n].copy_from_slice(&$s[from..from + n])
+            };
+        }
+        match (&mut self.data, src.buffer()) {
+            (Buffer::Bool(d), Buffer::Bool(s)) => cp!(d, s),
+            (Buffer::I32(d), Buffer::I32(s)) => cp!(d, s),
+            (Buffer::I64(d), Buffer::I64(s)) => cp!(d, s),
+            (Buffer::F32(d), Buffer::F32(s)) => cp!(d, s),
+            (Buffer::F64(d), Buffer::F64(s)) => cp!(d, s),
+            _ => unreachable!("output segments share their column type"),
+        }
+        self.empty[off..off + n].copy_from_slice(&src.empty_mask()[from..from + n]);
+    }
+
+    /// Apply compacted scatter writes in input order: slot `hits[k]`
+    /// takes `src[k]` (last write wins; an ε write clears the slot).
+    fn scatter(&mut self, hits: &[usize], src: &OutBuf) {
+        macro_rules! sc {
+            ($d:expr, $s:expr) => {
+                for (k, &p) in hits.iter().enumerate() {
+                    if src.empty[k] {
+                        self.empty[p] = true;
+                    } else {
+                        $d[p] = $s[k];
+                        self.empty[p] = false;
+                    }
+                }
+            };
+        }
+        match (&mut self.data, &src.data) {
+            (Buffer::Bool(d), Buffer::Bool(s)) => sc!(d, s),
+            (Buffer::I32(d), Buffer::I32(s)) => sc!(d, s),
+            (Buffer::I64(d), Buffer::I64(s)) => sc!(d, s),
+            (Buffer::F32(d), Buffer::F32(s)) => sc!(d, s),
+            (Buffer::F64(d), Buffer::F64(s)) => sc!(d, s),
+            _ => unreachable!("scatter values share their column type"),
+        }
+    }
+
+    fn into_column(self) -> Column {
+        Column::from_parts(self.data, self.empty)
     }
 }
 
 /// Evaluate a scatter's position and value expressions over one
 /// morsel, compacting the qualifying rows. The caller applies the
 /// writes in morsel order (input order), so conflicting positions
-/// resolve exactly as a serial loop would.
+/// resolve exactly as a serial loop would. Values are evaluated (and
+/// counted) only at rows whose position lands in the output.
 fn scatter_eval_range(
+    dag: &Dag,
+    sources: &[Option<Arc<MatVec>>],
     cols: &[(KeyPath, ScalarType, Arc<Expr>)],
-    pos: &Expr,
     out_len: usize,
     m: Morsel,
-    env: &mut Env<'_>,
-) -> (Vec<usize>, Vec<Column>) {
+    env: &mut Env,
+) -> (Vec<usize>, Vec<OutBuf>) {
     let mut hits: Vec<usize> = Vec::new();
-    let mut vals: Vec<Column> = cols
-        .iter()
-        .map(|(_, ty, _)| Column::empties(*ty, 0))
-        .collect();
-    for i in m.start..m.end {
-        let Some(p) = pos.eval(i, env) else {
-            continue;
-        };
-        let p = p.as_i64();
-        if p < 0 || p as usize >= out_len {
-            continue;
-        }
-        hits.push(p as usize);
-        for (ci, (_, _, expr)) in cols.iter().enumerate() {
-            vals[ci].push(expr.eval(i, env));
+    let mut vals: Vec<OutBuf> = cols.iter().map(|(_, ty, _)| OutBuf::new(*ty, 0)).collect();
+    let mut ch = Chunks::new(dag, sources, env.counting);
+    let mut ok = vec![false; CHUNK];
+    let mut c0 = m.start;
+    while c0 < m.end {
+        let len = CHUNK.min(m.end - c0);
+        ch.compute(c0, len);
+        let pos = ch.root(0);
+        let mut n_ok = 0u64;
+        for (k, o) in ok[..len].iter_mut().enumerate() {
+            *o = false;
+            if let Some(p) = pos.as_i64(k).filter(|&p| p >= 0 && (p as usize) < out_len) {
+                hits.push(p as usize);
+                *o = true;
+                n_ok += 1;
+            }
         }
         if env.counting {
-            env.profile.rand_writes += cols.len() as u64;
+            let mut active = vec![Active::Lanes(&ok[..len]); dag.roots.len()];
+            active[0] = Active::All;
+            ch.count(&active, env);
+            env.profile.rand_writes += cols.len() as u64 * n_ok;
         }
+        for (ci, buf) in vals.iter_mut().enumerate() {
+            let v = ch.root(1 + ci);
+            for k in (0..len).filter(|&k| ok[k]) {
+                buf.push(v.get(k));
+            }
+        }
+        c0 += len;
     }
     (hits, vals)
 }
@@ -1154,51 +1337,316 @@ fn scatter_eval_range(
 /// Partial grouped aggregation over one morsel: per-bucket counts, the
 /// bucket's (single) key, and per-fold accumulators; `mismatch` reports
 /// a bucket holding more than one key run, which sends the whole unit
-/// to the generic fallback.
+/// to the generic fallback. Each fold consumes whole registers into
+/// typed per-bucket accumulators.
 fn group_agg_range(
-    key: &Expr,
+    dag: &Dag,
+    sources: &[Option<Arc<MatVec>>],
     folds: &[GroupFold],
     piv: &[i64],
     nb: usize,
     m: Morsel,
-    env: &mut Env<'_>,
+    env: &mut Env,
 ) -> GroupPartial {
     let mut counts = vec![0usize; nb];
     let mut first_key: Vec<Option<Option<i64>>> = vec![None; nb];
-    let mut accs: Vec<Vec<Option<ScalarValue>>> = folds.iter().map(|_| vec![None; nb]).collect();
+    let mut accs: Vec<BucketAcc> = folds.iter().map(|f| BucketAcc::new(f.agg, f.out_ty, nb)).collect();
     let mut mismatch = false;
-    for i in m.start..m.end {
-        let kv = key.eval(i, env).map(to_key);
-        let b = bucket_of(piv, kv);
-        match &first_key[b] {
-            None => first_key[b] = Some(kv),
-            Some(prev) if *prev != kv => {
-                mismatch = true;
-                break;
+    let mut ch = Chunks::new(dag, sources, env.counting);
+    let mut buckets = vec![0usize; CHUNK];
+    let mut c0 = m.start;
+    while c0 < m.end && !mismatch {
+        let len = CHUNK.min(m.end - c0);
+        ch.compute(c0, len);
+        // Rows before `stop` are aggregated; a mismatch row evaluates
+        // only its key.
+        let key = ch.root(0);
+        let mut stop = len;
+        for k in 0..len {
+            let kv = key.key(k);
+            let b = bucket_of(piv, kv);
+            match &first_key[b] {
+                None => first_key[b] = Some(kv),
+                Some(prev) if *prev != kv => {
+                    mismatch = true;
+                    stop = k;
+                    break;
+                }
+                _ => {}
             }
-            _ => {}
-        }
-        counts[b] += 1;
-        for (fi, f) in folds.iter().enumerate() {
-            if let Some(v) = f.val.eval(i, env) {
-                let v = v.cast(f.out_ty);
-                accs[fi][b] = Some(match accs[fi][b] {
-                    None => v,
-                    Some(a) => combine(f.agg, a, v),
-                });
-                count_acc(env, f.out_ty);
-            }
+            counts[b] += 1;
+            buckets[k] = b;
         }
         if env.counting {
-            env.profile.int_ops += 1; // bucket computation
+            let key_rows = if mismatch { stop + 1 } else { len };
+            let mut active = vec![Active::Prefix(stop); dag.roots.len()];
+            active[0] = Active::Prefix(key_rows);
+            ch.count(&active, env);
+            env.profile.int_ops += stop as u64; // bucket computation
         }
+        for (fi, acc) in accs.iter_mut().enumerate() {
+            let n = acc.add(&ch.root(1 + fi), &buckets[..stop]);
+            count_accs(env, folds[fi].out_ty, n);
+        }
+        c0 += len;
     }
     GroupPartial {
         counts,
         first_key,
-        accs,
+        accs: accs.into_iter().map(BucketAcc::into_values).collect(),
         mismatch,
     }
+}
+
+/// Typed per-bucket accumulators of one grouped fold, with
+/// [`combine`]'s semantics.
+struct BucketAcc {
+    agg: AggKind,
+    ty: ScalarType,
+    ints: Vec<i64>,
+    floats: Vec<f64>,
+    has: Vec<bool>,
+}
+
+impl BucketAcc {
+    fn new(agg: AggKind, ty: ScalarType, nb: usize) -> BucketAcc {
+        let (ni, nf) = if ty.is_float() { (0, nb) } else { (nb, 0) };
+        BucketAcc {
+            agg,
+            ty,
+            ints: vec![0; ni],
+            floats: vec![0.0; nf],
+            has: vec![false; nb],
+        }
+    }
+
+    /// Fold row `k` of `v` into bucket `buckets[k]` for every listed row;
+    /// returns the number of (non-ε) values folded.
+    fn add(&mut self, v: &View<'_>, buckets: &[usize]) -> u64 {
+        let mut n = 0u64;
+        let mut scratch = CastScratch::default();
+        match cast_lanes(v, self.ty, &mut scratch) {
+            CastLanes::Int(x) => {
+                for (k, &b) in buckets.iter().enumerate() {
+                    if !v.valid(k) {
+                        continue;
+                    }
+                    n += 1;
+                    let (a, had) = (&mut self.ints[b], self.has[b]);
+                    *a = match self.agg {
+                        AggKind::Sum => a.wrapping_add(x[k]),
+                        AggKind::Min if had => (*a).min(x[k]),
+                        AggKind::Max if had => (*a).max(x[k]),
+                        _ => x[k],
+                    };
+                    self.has[b] = true;
+                }
+            }
+            CastLanes::Float(x) => {
+                let f32_sum = self.ty == ScalarType::F32;
+                for (k, &b) in buckets.iter().enumerate() {
+                    if !v.valid(k) {
+                        continue;
+                    }
+                    n += 1;
+                    let (a, had) = (&mut self.floats[b], self.has[b]);
+                    *a = match self.agg {
+                        _ if !had => x[k],
+                        AggKind::Sum if f32_sum => (*a + x[k]) as f32 as f64,
+                        AggKind::Sum => *a + x[k],
+                        AggKind::Min if total_key(x[k]) < total_key(*a) => x[k],
+                        AggKind::Max if total_key(x[k]) > total_key(*a) => x[k],
+                        _ => *a,
+                    };
+                    self.has[b] = true;
+                }
+            }
+        }
+        n
+    }
+
+    fn into_values(self) -> Vec<Option<ScalarValue>> {
+        (0..self.has.len())
+            .map(|b| {
+                self.has[b].then(|| {
+                    if self.ty.is_float() {
+                        ScalarValue::F64(self.floats[b]).cast(self.ty)
+                    } else {
+                        ScalarValue::I64(self.ints[b]).cast(self.ty)
+                    }
+                })
+            })
+            .collect()
+    }
+}
+
+/// Register lanes re-typed to an accumulator type's lane class.
+enum CastLanes<'r> {
+    Int(&'r [i64]),
+    Float(&'r [f64]),
+}
+
+/// Conversion buffers for [`cast_lanes`].
+#[derive(Default)]
+struct CastScratch {
+    ints: Vec<i64>,
+    floats: Vec<f64>,
+}
+
+/// `v`'s lanes cast to `ty` ([`ScalarValue::cast`] semantics), borrowing
+/// when the lanes already hold `ty` values.
+fn cast_lanes<'r>(v: &View<'r>, ty: ScalarType, scratch: &'r mut CastScratch) -> CastLanes<'r> {
+    use ScalarType::*;
+    let exact = matches!(
+        (v.ty, ty),
+        (Bool | I32, I64) | (Bool, I32) | (F32, F64)
+    ) || v.ty == ty;
+    match (v.lanes, exact) {
+        (Lanes::Int(x), true) => return CastLanes::Int(x),
+        (Lanes::Float(x), true) => return CastLanes::Float(x),
+        _ => {}
+    }
+    let cast = |s: ScalarValue| s.cast(ty);
+    let scalars: Vec<ScalarValue> = match v.lanes {
+        Lanes::Int(x) => x.iter().map(|&y| cast(ScalarValue::I64(y))).collect(),
+        Lanes::Float(x) => x.iter().map(|&y| cast(ScalarValue::F64(y))).collect(),
+    };
+    if ty.is_float() {
+        scratch.floats = scalars.iter().map(|s| s.as_f64()).collect();
+        CastLanes::Float(&scratch.floats)
+    } else {
+        scratch.ints = scalars.iter().map(|s| s.as_i64()).collect();
+        CastLanes::Int(&scratch.ints)
+    }
+}
+
+/// Fold the non-ε lanes `[a, b)` of `v`, cast to `ty`, into `acc` in
+/// row order with [`combine`]'s semantics; returns how many were folded.
+/// Integer folds reduce the range first (wrapping sums and min/max are
+/// exact in any grouping); float folds run strictly left to right.
+fn fold_lanes(
+    agg: AggKind,
+    ty: ScalarType,
+    v: &View<'_>,
+    a: usize,
+    b: usize,
+    acc: &mut Option<ScalarValue>,
+) -> u64 {
+    let mut scratch = CastScratch::default();
+    let valid = |k: usize| v.valid(k);
+    match cast_lanes(v, ty, &mut scratch) {
+        CastLanes::Int(x) => {
+            let (mut r, mut n) = match agg {
+                AggKind::Sum => (0i64, 0u64),
+                AggKind::Min => (i64::MAX, 0),
+                AggKind::Max => (i64::MIN, 0),
+            };
+            match (v.empty, agg) {
+                (None, AggKind::Sum) => {
+                    r = x[a..b].iter().fold(0i64, |s, &y| s.wrapping_add(y));
+                    n = (b - a) as u64;
+                }
+                (None, AggKind::Min) => {
+                    r = x[a..b].iter().copied().fold(r, i64::min);
+                    n = (b - a) as u64;
+                }
+                (None, AggKind::Max) => {
+                    r = x[a..b].iter().copied().fold(r, i64::max);
+                    n = (b - a) as u64;
+                }
+                (Some(m), _) => {
+                    for (&y, &e) in x[a..b].iter().zip(&m[a..b]) {
+                        if !e {
+                            r = match agg {
+                                AggKind::Sum => r.wrapping_add(y),
+                                AggKind::Min => r.min(y),
+                                AggKind::Max => r.max(y),
+                            };
+                            n += 1;
+                        }
+                    }
+                }
+            }
+            if n > 0 {
+                let part = ScalarValue::I64(r).cast(ty);
+                *acc = Some(match *acc {
+                    None => part,
+                    Some(p) => combine(agg, p, part),
+                });
+            }
+            n
+        }
+        CastLanes::Float(x) => {
+            let f32_sum = ty == ScalarType::F32;
+            let mut cur = acc.map(|s| s.as_f64());
+            let mut n = 0u64;
+            for (k, &y) in x.iter().enumerate().take(b).skip(a) {
+                if !valid(k) {
+                    continue;
+                }
+                n += 1;
+                cur = Some(match cur {
+                    None => y,
+                    Some(c) => match agg {
+                        AggKind::Sum if f32_sum => (c + y) as f32 as f64,
+                        AggKind::Sum => c + y,
+                        AggKind::Min if total_key(c) <= total_key(y) => c,
+                        AggKind::Max if total_key(c) >= total_key(y) => c,
+                        _ => y,
+                    },
+                });
+            }
+            *acc = cur.map(|c| ScalarValue::F64(c).cast(ty));
+            n
+        }
+    }
+}
+
+/// Count `n` accumulations into a `ty` accumulator.
+fn count_accs(env: &mut Env, ty: ScalarType, n: u64) {
+    if env.counting {
+        if ty.is_float() {
+            env.profile.float_ops += n;
+        } else {
+            env.profile.int_ops += n;
+        }
+    }
+}
+
+/// A key DAG's root at rows `[0, len)` as partition keys.
+fn eval_keys(
+    dag: &Dag,
+    len: usize,
+    sources: &[Option<Arc<MatVec>>],
+    env: &mut Env,
+) -> Vec<Option<i64>> {
+    let mut keys = Vec::with_capacity(len);
+    let mut ch = Chunks::new(dag, sources, env.counting);
+    let mut c0 = 0;
+    while c0 < len {
+        let n = CHUNK.min(len - c0);
+        ch.compute(c0, n);
+        ch.count(&[Active::All], env);
+        let v = ch.root(0);
+        keys.extend((0..n).map(|k| v.key(k)));
+        c0 += n;
+    }
+    keys
+}
+
+/// The sorted non-ε pivot keys.
+fn eval_pivots(
+    dag: &Dag,
+    pivot_len: usize,
+    sources: &[Option<Arc<MatVec>>],
+    env: &mut Env,
+) -> Vec<i64> {
+    let mut piv: Vec<i64> = eval_keys(dag, pivot_len, sources, env)
+        .into_iter()
+        .flatten()
+        .collect();
+    piv.sort_unstable();
+    piv
 }
 
 /// Slots an output column occupies: the whole domain for `Full` layout,
@@ -1234,32 +1682,6 @@ fn combine(agg: AggKind, a: ScalarValue, b: ScalarValue) -> ScalarValue {
             }
         }
     }
-}
-
-fn count_acc(env: &mut Env<'_>, ty: ScalarType) {
-    if env.counting {
-        if ty.is_float() {
-            env.profile.float_ops += 1;
-        } else {
-            env.profile.int_ops += 1;
-        }
-    }
-}
-
-fn to_key(v: ScalarValue) -> i64 {
-    match v {
-        ScalarValue::F32(f) => f.floor() as i64,
-        ScalarValue::F64(f) => f.floor() as i64,
-        other => other.as_i64(),
-    }
-}
-
-fn eval_pivots(pivot: &Expr, pivot_len: usize, env: &mut Env<'_>) -> Vec<i64> {
-    let mut piv: Vec<i64> = (0..pivot_len)
-        .filter_map(|j| pivot.eval(j, env).map(to_key))
-        .collect();
-    piv.sort_unstable();
-    piv
 }
 
 /// Bucket of a key given sorted pivots — identical to the interpreter's

@@ -24,7 +24,7 @@ use voodoo_core::{AggKind, KeyPath, Op, Program, Result, ScalarType, VRef, Voodo
 use voodoo_storage::Catalog;
 use voodoo_verify::ParallelSafety;
 
-use crate::expr::Expr;
+use crate::expr::{Dag, Expr};
 
 /// How each statement is realized by the backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,6 +159,9 @@ pub struct Fragment {
     pub actions: Vec<Action>,
     /// Materialized outputs.
     pub outputs: Vec<OutSpec>,
+    /// The fused expressions, flattened: roots are the dynamic run
+    /// control (if any), then each action's expression in action order.
+    pub dag: Dag,
 }
 
 /// Kind summary for reporting / tests.
@@ -233,6 +236,8 @@ pub enum Bulk {
         cols: Vec<(KeyPath, ScalarType, Arc<Expr>)>,
         /// Position expression.
         pos: Arc<Expr>,
+        /// Roots: the position, then each value column.
+        dag: Dag,
     },
     /// A materialized `Partition` (stable counting sort positions).
     PartitionOp {
@@ -248,6 +253,10 @@ pub enum Bulk {
         pivot: Arc<Expr>,
         /// Number of pivots.
         pivot_len: usize,
+        /// Root: the key.
+        key_dag: Dag,
+        /// Root: the pivot value.
+        pivot_dag: Dag,
     },
     /// Virtual scatter (§3.1.3): `Partition` → `Scatter` → folds fused into
     /// one accumulation pass over dense buckets.
@@ -272,6 +281,14 @@ pub enum Bulk {
         scatter_cols: Vec<(KeyPath, ScalarType, Arc<Expr>)>,
         /// Index of the key column within `scatter_cols`.
         key_col: usize,
+        /// Roots: the key, then each fold's value (the fused pass).
+        agg_dag: Dag,
+        /// Root: the pivot value.
+        pivot_dag: Dag,
+        /// Root: the key (the fallback's partition pass).
+        key_dag: Dag,
+        /// Roots: the scatter columns (the fallback's scatter pass).
+        cols_dag: Dag,
     },
     /// Vectorized selection (§5.3): chunk-local position buffer + gathers.
     VecSelect {
@@ -287,6 +304,8 @@ pub enum Bulk {
         site: usize,
         /// The fused gather+fold pipelines.
         folds: Vec<VsFold>,
+        /// Root: the selector.
+        dag: Dag,
     },
 }
 
@@ -382,6 +401,113 @@ impl<'a> Compiler<'a> {
 }
 
 // ---------------------------------------------------------------------
+// Kernel DAGs
+// ---------------------------------------------------------------------
+
+/// Every root expression field of a unit, in declaration order.
+fn unit_roots(unit: &Unit) -> Vec<&Arc<Expr>> {
+    match unit {
+        Unit::Fragment(f) => fragment_roots(f),
+        Unit::Bulk(Bulk::ScatterOp { pos, cols, .. }) => {
+            std::iter::once(pos).chain(cols.iter().map(|c| &c.2)).collect()
+        }
+        Unit::Bulk(Bulk::PartitionOp { key, pivot, .. }) => vec![key, pivot],
+        Unit::Bulk(Bulk::GroupAgg {
+            key,
+            pivot,
+            folds,
+            scatter_cols,
+            ..
+        }) => [key, pivot]
+            .into_iter()
+            .chain(folds.iter().map(|f| &f.val))
+            .chain(scatter_cols.iter().map(|c| &c.2))
+            .collect(),
+        Unit::Bulk(Bulk::VecSelect { sel, .. }) => vec![sel],
+    }
+}
+
+/// A fragment's roots in evaluation order: the dynamic run control, then
+/// each action's expression.
+fn fragment_roots(f: &Fragment) -> Vec<&Arc<Expr>> {
+    let ctrl = match &f.run {
+        RunStructure::Dynamic(c) => Some(c),
+        _ => None,
+    };
+    ctrl.into_iter()
+        .chain(f.actions.iter().map(|a| match a {
+            Action::Write { expr, .. }
+            | Action::FoldAggAct { expr, .. }
+            | Action::FoldScanAct { expr, .. } => expr,
+            Action::SelectEmit { sel, .. } => sel,
+        }))
+        .collect()
+}
+
+/// Count the plan's references to every expression node (by address):
+/// one per root field and one per operand edge.
+fn count_refs(e: &Arc<Expr>, refs: &mut std::collections::HashMap<usize, usize>) {
+    let n = refs.entry(Arc::as_ptr(e) as usize).or_insert(0);
+    *n += 1;
+    if *n == 1 {
+        for c in e.children() {
+            count_refs(c, refs);
+        }
+    }
+}
+
+/// Flatten every unit's expressions into its kernel DAGs, one per
+/// evaluation pass, with dense node ids. A node is *shared* when the plan
+/// references it more than once.
+fn attach_dags(units: &mut [Unit]) {
+    let mut refs = std::collections::HashMap::new();
+    for unit in units.iter() {
+        for r in unit_roots(unit) {
+            count_refs(r, &mut refs);
+        }
+    }
+    let shared = |e: &Arc<Expr>| refs[&(Arc::as_ptr(e) as usize)] > 1;
+    for unit in units.iter_mut() {
+        match unit {
+            Unit::Fragment(f) => f.dag = Dag::flatten(&fragment_roots(f), &shared),
+            Unit::Bulk(Bulk::ScatterOp { pos, cols, dag, .. }) => {
+                let roots: Vec<_> = std::iter::once(&*pos).chain(cols.iter().map(|c| &c.2)).collect();
+                *dag = Dag::flatten(&roots, &shared);
+            }
+            Unit::Bulk(Bulk::PartitionOp {
+                key,
+                pivot,
+                key_dag,
+                pivot_dag,
+                ..
+            }) => {
+                *key_dag = Dag::flatten(&[key], &shared);
+                *pivot_dag = Dag::flatten(&[pivot], &shared);
+            }
+            Unit::Bulk(Bulk::GroupAgg {
+                key,
+                pivot,
+                folds,
+                scatter_cols,
+                agg_dag,
+                pivot_dag,
+                key_dag,
+                cols_dag,
+                ..
+            }) => {
+                let agg: Vec<_> = std::iter::once(&*key).chain(folds.iter().map(|f| &f.val)).collect();
+                *agg_dag = Dag::flatten(&agg, &shared);
+                *pivot_dag = Dag::flatten(&[pivot], &shared);
+                *key_dag = Dag::flatten(&[key], &shared);
+                let cols: Vec<_> = scatter_cols.iter().map(|c| &c.2).collect();
+                *cols_dag = Dag::flatten(&cols, &shared);
+            }
+            Unit::Bulk(Bulk::VecSelect { sel, dag, .. }) => *dag = Dag::flatten(&[sel], &shared),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Compilation state machine
 // ---------------------------------------------------------------------
 
@@ -445,6 +571,7 @@ impl<'p> Build<'p> {
             self.visit(VRef(i as u32))?;
         }
         self.close_open();
+        attach_dags(&mut self.units);
         Ok(CompiledProgram {
             program: self.program.clone(),
             shapes: self.shapes,
@@ -944,6 +1071,7 @@ impl<'p> Build<'p> {
                     intent,
                     actions: f.actions,
                     outputs: f.outputs,
+                    dag: Dag::default(),
                 }));
                 self.next_frag_id += 1;
             }
@@ -1242,6 +1370,7 @@ impl<'p> Build<'p> {
                     out_len: self.shapes.of(self.resolve[size_like.index()]).len,
                     cols,
                     pos,
+                    dag: Dag::default(),
                 }));
             }
             Op::Partition {
@@ -1260,6 +1389,8 @@ impl<'p> Build<'p> {
                     key,
                     pivot,
                     pivot_len: self.shapes.of(self.resolve[pivots.index()]).len,
+                    key_dag: Dag::default(),
+                    pivot_dag: Dag::default(),
                 }));
             }
             _ => unreachable!("emit_bulk on non-bulk"),
@@ -1349,6 +1480,10 @@ impl<'p> Build<'p> {
             folds,
             scatter_cols,
             key_col,
+            agg_dag: Dag::default(),
+            pivot_dag: Dag::default(),
+            key_dag: Dag::default(),
+            cols_dag: Dag::default(),
         }));
         Ok(())
     }
@@ -1406,6 +1541,7 @@ impl<'p> Build<'p> {
             sel,
             site,
             folds,
+            dag: Dag::default(),
         }));
         Ok(())
     }

@@ -489,7 +489,8 @@ impl Engine {
     /// cast to each column's stored type. O(batch + #tables) regardless
     /// of how many rows are already resident — the batch is sealed into
     /// an `Arc`-shared append segment and concurrent readers keep their
-    /// snapshots untouched. Returns `false` for an unknown table.
+    /// snapshots untouched. Returns `false`, appending nothing, for an
+    /// unknown table or a row whose arity does not match the table.
     pub fn append_rows(&self, table: &str, rows: &[Vec<i64>]) -> bool {
         self.mutate_catalog(|c| c.append_rows(table, rows))
     }

@@ -491,7 +491,8 @@ impl ShardedEngine {
 
     /// Append rows to a table on its owning shard (the same
     /// `O(batch + #tables)` publication as [`Engine::append_rows`]; no
-    /// other shard is touched). Returns `false` for an unknown table.
+    /// other shard is touched). Returns `false`, appending nothing, for an
+    /// unknown table or a row whose arity does not match the table.
     pub fn append_rows(&self, table: &str, rows: &[Vec<i64>]) -> bool {
         self.core.engines[self.core.owner(table)].append_rows(table, rows)
     }

@@ -317,13 +317,14 @@ impl Table {
     /// widen to cover the values **as stored** (a wrapped `I32` or
     /// truthiness-collapsed `Bool` widens by its stored value, never the
     /// raw `i64` — stats must not claim a range the data cannot contain).
-    /// Panics if a row's arity does not match the table.
-    pub fn append_rows(&mut self, rows: &[Vec<i64>]) {
-        for row in rows {
-            assert_eq!(row.len(), self.columns.len(), "row arity must match table");
+    /// Returns `false`, leaving the table untouched, if any row's arity
+    /// does not match the table.
+    pub fn append_rows(&mut self, rows: &[Vec<i64>]) -> bool {
+        if !self.rows_fit(rows) {
+            return false;
         }
         if rows.is_empty() {
-            return;
+            return true;
         }
         let mut columns = Vec::with_capacity(self.columns.len());
         for (c, col) in self.columns.iter_mut().enumerate() {
@@ -349,6 +350,12 @@ impl Table {
             columns,
         }));
         self.len += rows.len();
+        true
+    }
+
+    /// Whether every row has one value per column.
+    fn rows_fit(&self, rows: &[Vec<i64>]) -> bool {
+        rows.iter().all(|row| row.len() == self.columns.len())
     }
 
     /// The sealed append segments pending on this table, oldest first.
@@ -727,12 +734,16 @@ impl Catalog {
     /// O(batch), independent of the rows already resident. Non-capturable
     /// tables (float/sparse columns) still append in O(batch) but log a
     /// coarse [`TableChange::Rewrite`]. Folds segments into the base when
-    /// the compaction thresholds trip. Returns `false` for an unknown
-    /// table; panics if a row's arity does not match.
+    /// the compaction thresholds trip. Returns `false` — with no version
+    /// bump, no segment and no change-log entry — for an unknown table
+    /// or when any row's arity does not match the table.
     pub fn append_rows(&mut self, name: &str, rows: &[Vec<i64>]) -> bool {
         let Some(entry) = self.tables.get_mut(name) else {
             return false;
         };
+        if !entry.rows_fit(rows) {
+            return false;
+        }
         self.version += 1;
         let version = self.version;
         let t = Arc::make_mut(entry);

@@ -328,3 +328,76 @@ fn segmented_append_beats_copyout_by_10x_at_1m_rows() {
         "segmented append only {speedup:.1}x over copy-out at 1M rows"
     );
 }
+
+/// What an append may change, per table: the catalog version, the
+/// table's version, length and segment count, and its change log.
+fn append_state(cat: &Catalog, table: &str) -> (u64, u64, usize, usize, Option<RowDelta>) {
+    let t = cat.table(table).expect("table exists");
+    (
+        cat.version(),
+        t.version,
+        t.len,
+        t.segments().len(),
+        cat.changes_since(table, 0),
+    )
+}
+
+/// A malformed batch (a row with too few or too many values, or an
+/// empty row) is refused with `false` at every front door — `Catalog`,
+/// `Engine`, `Session` and a 2-shard `ShardedEngine` — instead of
+/// panicking, and leaves the snapshot exactly as it was: no version
+/// bump, no segment, no change-log entry. A well-formed batch still
+/// appends afterwards.
+#[test]
+fn wrong_arity_appends_are_refused_without_side_effects() {
+    use voodoo::relational::{Engine, Router, ShardedEngine};
+
+    let bad: [Vec<Vec<i64>>; 4] = [
+        vec![vec![]],
+        vec![vec![1]],
+        vec![vec![1, 2, 3]],
+        vec![vec![1, 2], vec![3]],
+    ];
+    let base = || {
+        let mut cat = Catalog::in_memory();
+        cat.insert_table(kv_table("kv", 100));
+        cat.insert_table(kv_table("other", 10));
+        cat
+    };
+
+    let mut cat = base();
+    let before = append_state(&cat, "kv");
+    for rows in &bad {
+        assert!(!cat.append_rows("kv", rows), "catalog accepted {rows:?}");
+        assert_eq!(append_state(&cat, "kv"), before, "catalog changed on {rows:?}");
+    }
+
+    let engine = Engine::new(base());
+    let session = Session::new(base());
+    let before = append_state(&engine.snapshot(), "kv");
+    for rows in &bad {
+        assert!(!engine.append_rows("kv", rows), "engine accepted {rows:?}");
+        assert!(!session.append_rows("kv", rows), "session accepted {rows:?}");
+        assert_eq!(append_state(&engine.snapshot(), "kv"), before);
+        assert_eq!(append_state(&session.catalog(), "kv"), before);
+    }
+    assert!(engine.append_rows("kv", &[vec![1, 2]]));
+    assert_eq!(engine.snapshot().table("kv").unwrap().len, 101);
+
+    let sharded = ShardedEngine::new(base(), 2, Router::Hash);
+    let owner = sharded.table_shard("kv");
+    let shard_state = |i: usize| {
+        let snap = sharded.shard_engine(i).snapshot();
+        (snap.version(), snap.table("kv").map(|_| append_state(&snap, "kv")))
+    };
+    let before: Vec<_> = (0..2).map(shard_state).collect();
+    for rows in &bad {
+        assert!(!sharded.append_rows("kv", rows), "sharded accepted {rows:?}");
+        let after: Vec<_> = (0..2).map(shard_state).collect();
+        assert_eq!(after, before, "a shard changed on {rows:?}");
+    }
+    assert!(sharded.append_rows("kv", &[vec![1, 2]]));
+    let grown = sharded.shard_engine(owner).snapshot();
+    assert_eq!(grown.table("kv").unwrap().len, 101);
+    sharded.shutdown();
+}
