@@ -6,6 +6,17 @@
 //! `Scatter`, `Partition` and the two fused patterns (virtual-scatter
 //! group aggregation, vectorized selection).
 //!
+//! **Column at a time.** Every kernel evaluates its fused expressions
+//! through one chunked evaluator ([`crate::expr::Chunks`]): a morsel is
+//! processed in chunks of [`crate::expr::CHUNK`] rows, each expression
+//! node is computed once per chunk into a typed register (allocated once
+//! per morsel), and the kernel's actions then consume whole registers —
+//! writes store register slices, folds reduce them, selections and
+//! scatters compact them, grouped aggregation folds them into typed
+//! per-bucket accumulators. Only order-dependent steps (position
+//! emission, prefix scans, float sums, run boundaries) walk a register's
+//! lanes one by one, always in row order.
+//!
 //! **One morsel driver.** Every hot kernel — fragments (selection
 //! emission, folds, elementwise maps, per-run folds), vectorized
 //! selection, the fused grouped aggregation and the expression side of
@@ -37,8 +48,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use voodoo_core::{
-    AggKind, BinOp, Buffer, Column, KeyPath, Op, Result, ScalarType, ScalarValue,
-    StructuredVector, VRef, VoodooError,
+    AggKind, BinOp, Buffer, Column, KeyPath, Op, Result, ScalarType, ScalarValue, StructuredVector,
+    VRef, VoodooError,
 };
 use voodoo_interp::ExecOutput;
 use voodoo_storage::{Catalog, Morsel, Partitioning, DEFAULT_STEAL_GRAIN};
@@ -56,10 +67,57 @@ use crate::repr::MatVec;
 /// key seen per bucket, per-fold accumulators.
 struct GroupPartial {
     counts: Vec<usize>,
-    first_key: Vec<Option<Option<i64>>>,
-    accs: Vec<Vec<Option<ScalarValue>>>,
+    keys: BucketKeys,
+    accs: Vec<BucketAcc>,
     mismatch: bool,
 }
+
+/// The one key each bucket has held so far.
+struct BucketKeys {
+    /// Per bucket: 0 = no row yet, 1 = an ε key, 2 = the key in `key`.
+    seen: Vec<u8>,
+    key: Vec<i64>,
+}
+
+impl BucketKeys {
+    fn new(nb: usize) -> BucketKeys {
+        BucketKeys {
+            seen: vec![0; nb],
+            key: vec![0; nb],
+        }
+    }
+
+    /// Record key `kv` in bucket `b`; `false` if the bucket already
+    /// holds a different key (a second key run).
+    #[inline]
+    fn admit(&mut self, b: usize, kv: Option<i64>) -> bool {
+        let (tag, k) = match kv {
+            None => (1, 0),
+            Some(k) => (2, k),
+        };
+        match self.seen[b] {
+            0 => {
+                self.seen[b] = tag;
+                self.key[b] = k;
+                true
+            }
+            t => t == tag && self.key[b] == k,
+        }
+    }
+
+    /// Fold a later morsel's keys in; `false` on a cross-morsel
+    /// disagreement.
+    fn merge(&mut self, other: &BucketKeys) -> bool {
+        (0..self.seen.len()).all(|b| match other.seen[b] {
+            0 => true,
+            t => self.admit(b, (t == 2).then_some(other.key[b])),
+        })
+    }
+}
+
+/// Fewest rows per partial table of a parallel grouped aggregation, per
+/// bucket (see `Executor::exec_group_agg`).
+const ROWS_PER_BUCKET: usize = 4;
 
 /// Upper bound on what [`Parallelism::Auto`] resolves to: past this,
 /// morsel merge overhead beats marginal cores for these kernel sizes.
@@ -492,18 +550,20 @@ impl Executor {
                 let mut off = 0usize;
                 for (segs, _) in &partials {
                     let seg = &segs[oi];
-                    let n = seg.empty_mask().iter().position(|&e| e).unwrap_or(seg.len());
+                    let n = seg
+                        .empty_mask()
+                        .iter()
+                        .position(|&e| e)
+                        .unwrap_or(seg.len());
                     out.copy_from(off, seg, 0, n);
                     off += n;
                 }
                 out.into_column()
             } else {
-                let mut segs = partials.iter_mut().map(|(segs, _)| {
-                    std::mem::replace(&mut segs[oi], Column::empties(spec.ty, 0))
-                });
-                let mut col = segs
-                    .next()
-                    .unwrap_or_else(|| Column::empties(spec.ty, 0));
+                let mut segs = partials
+                    .iter_mut()
+                    .map(|(segs, _)| std::mem::replace(&mut segs[oi], Column::empties(spec.ty, 0)));
+                let mut col = segs.next().unwrap_or_else(|| Column::empties(spec.ty, 0));
                 for seg in segs {
                     col.extend_from(&seg);
                 }
@@ -609,7 +669,9 @@ impl Executor {
                         self.flush_dynamic_run(frag, &mut run, &mut segs, i, s);
                         current = cv;
                     }
-                    (a + 1..len).find(|&k| ctrl.get(k) != current).unwrap_or(len)
+                    (a + 1..len)
+                        .find(|&k| ctrl.get(k) != current)
+                        .unwrap_or(len)
                 } else {
                     if (i - s) % run_len == 0 {
                         if i > s {
@@ -636,7 +698,10 @@ impl Executor {
                 self.flush_run(frag, &run, &mut segs, s, run_len);
             }
         }
-        (segs.into_iter().map(OutBuf::into_column).collect(), run.accs)
+        (
+            segs.into_iter().map(OutBuf::into_column).collect(),
+            run.accs,
+        )
     }
 
     /// Apply one non-`Write` action to lanes `[a, b)` of the chunk at
@@ -820,9 +885,8 @@ impl Executor {
                 profile.work_items += 1;
                 profile.elements += *domain as u64;
                 profile.max_par = (*domain as u64 / 1024).max(1);
-                let col = Column::from_buffer(Buffer::I64(
-                    positions.iter().map(|&p| p as i64).collect(),
-                ));
+                let col =
+                    Column::from_buffer(Buffer::I64(positions.iter().map(|&p| p as i64).collect()));
                 let mut sv = StructuredVector::with_len(*domain);
                 sv.insert(out_kp.clone(), col);
                 values[stmt.index()] = Some(Arc::new(MatVec::Full(sv)));
@@ -1002,11 +1066,8 @@ impl Executor {
             profile.merge(&env.profile);
             piv
         };
-        let nb = piv.len().max(1);
-        let mut counts = vec![0usize; nb];
-        let mut first_key: Vec<Option<Option<i64>>> = vec![None; nb];
-        let mut accs: Vec<Vec<Option<ScalarValue>>> =
-            folds.iter().map(|_| vec![None; nb]).collect();
+        let nb = piv.buckets();
+        let mut merged: Option<GroupPartial> = None;
         let mut mismatch = *out_len != *domain;
         if !mismatch {
             // Cross-morsel combination of per-bucket accumulators is only
@@ -1016,38 +1077,38 @@ impl Executor {
             let parallel_ok = folds
                 .iter()
                 .all(|f| cp.verdict(f.stmt).combines_associatively());
-            let parts = self.layout(*domain, *domain, parallel_ok);
+            // Every morsel allocates, fills and merges a partial table of
+            // `nb` buckets: cut morsels of at least `ROWS_PER_BUCKET × nb`
+            // rows so that cost stays small next to the rows aggregated.
+            let unit = (ROWS_PER_BUCKET * nb).max(1);
+            let parts = self.layout(domain.div_ceil(unit), *domain, parallel_ok);
             let sources: &[Option<Arc<MatVec>>] = values;
             let partials = self.drive(cp, &parts, profile, |m, env| {
-                group_agg_range(agg_dag, sources, folds, &piv, nb, m, env)
+                let rows = Morsel {
+                    start: m.start * unit,
+                    end: (m.end * unit).min(*domain),
+                };
+                group_agg_range(agg_dag, sources, folds, &piv, nb, rows, env)
             });
             for p in partials {
                 mismatch |= p.mismatch;
                 if mismatch {
                     break;
                 }
-                for b in 0..nb {
-                    if let Some(kv) = p.first_key[b] {
-                        match &first_key[b] {
-                            None => first_key[b] = Some(kv),
-                            Some(prev) if *prev != kv => mismatch = true,
-                            _ => {}
+                match &mut merged {
+                    None => merged = Some(p),
+                    Some(acc) => {
+                        if !acc.keys.merge(&p.keys) {
+                            mismatch = true;
+                            break;
+                        }
+                        for (c, n) in acc.counts.iter_mut().zip(&p.counts) {
+                            *c += n;
+                        }
+                        for (a, b) in acc.accs.iter_mut().zip(&p.accs) {
+                            a.merge(b);
                         }
                     }
-                    counts[b] += p.counts[b];
-                }
-                for (fi, partial_accs) in p.accs.into_iter().enumerate() {
-                    for (b, v) in partial_accs.into_iter().enumerate() {
-                        if let Some(v) = v {
-                            accs[fi][b] = Some(match accs[fi][b] {
-                                None => v,
-                                Some(a) => combine(folds[fi].agg, a, v),
-                            });
-                        }
-                    }
-                }
-                if mismatch {
-                    break;
                 }
             }
         }
@@ -1057,6 +1118,16 @@ impl Executor {
         if mismatch {
             return self.exec_group_agg_generic(cp, bulk, values, profile);
         }
+        let (counts, accs) = match merged {
+            Some(p) => (p.counts, p.accs),
+            None => (
+                vec![0; nb],
+                folds
+                    .iter()
+                    .map(|f| BucketAcc::new(f.agg, f.out_ty, nb))
+                    .collect(),
+            ),
+        };
         // Group starts = exclusive prefix sums of counts.
         let mut starts = vec![0usize; nb];
         let mut acc = 0usize;
@@ -1064,15 +1135,9 @@ impl Executor {
             starts[b] = acc;
             acc += c;
         }
-        for (fi, f) in folds.iter().enumerate() {
-            let mut col = OutBuf::new(f.out_ty, nb);
-            for (b, v) in accs[fi].iter().enumerate() {
-                if let Some(v) = v {
-                    col.set(b, *v);
-                }
-            }
+        for (f, a) in folds.iter().zip(accs) {
             let mut sv = StructuredVector::with_len(nb);
-            sv.insert(f.out_kp.clone(), col.into_column());
+            sv.insert(f.out_kp.clone(), a.into_column());
             values[f.stmt.index()] = Some(Arc::new(MatVec::GroupDense {
                 values: sv,
                 starts: starts.clone(),
@@ -1343,14 +1408,17 @@ fn group_agg_range(
     dag: &Dag,
     sources: &[Option<Arc<MatVec>>],
     folds: &[GroupFold],
-    piv: &[i64],
+    piv: &Pivots,
     nb: usize,
     m: Morsel,
     env: &mut Env,
 ) -> GroupPartial {
     let mut counts = vec![0usize; nb];
-    let mut first_key: Vec<Option<Option<i64>>> = vec![None; nb];
-    let mut accs: Vec<BucketAcc> = folds.iter().map(|f| BucketAcc::new(f.agg, f.out_ty, nb)).collect();
+    let mut keys = BucketKeys::new(nb);
+    let mut accs: Vec<BucketAcc> = folds
+        .iter()
+        .map(|f| BucketAcc::new(f.agg, f.out_ty, nb))
+        .collect();
     let mut mismatch = false;
     let mut ch = Chunks::new(dag, sources, env.counting);
     let mut buckets = vec![0usize; CHUNK];
@@ -1362,20 +1430,16 @@ fn group_agg_range(
         // only its key.
         let key = ch.root(0);
         let mut stop = len;
-        for k in 0..len {
+        for (k, slot) in buckets[..len].iter_mut().enumerate() {
             let kv = key.key(k);
-            let b = bucket_of(piv, kv);
-            match &first_key[b] {
-                None => first_key[b] = Some(kv),
-                Some(prev) if *prev != kv => {
-                    mismatch = true;
-                    stop = k;
-                    break;
-                }
-                _ => {}
+            let b = piv.of(kv);
+            if !keys.admit(b, kv) {
+                mismatch = true;
+                stop = k;
+                break;
             }
             counts[b] += 1;
-            buckets[k] = b;
+            *slot = b;
         }
         if env.counting {
             let key_rows = if mismatch { stop + 1 } else { len };
@@ -1392,8 +1456,8 @@ fn group_agg_range(
     }
     GroupPartial {
         counts,
-        first_key,
-        accs: accs.into_iter().map(BucketAcc::into_values).collect(),
+        keys,
+        accs,
         mismatch,
     }
 }
@@ -1465,18 +1529,51 @@ impl BucketAcc {
         n
     }
 
-    fn into_values(self) -> Vec<Option<ScalarValue>> {
-        (0..self.has.len())
-            .map(|b| {
-                self.has[b].then(|| {
-                    if self.ty.is_float() {
-                        ScalarValue::F64(self.floats[b]).cast(self.ty)
-                    } else {
-                        ScalarValue::I64(self.ints[b]).cast(self.ty)
-                    }
-                })
-            })
-            .collect()
+    /// Fold a later morsel's accumulators in, bucket by bucket, with
+    /// [`combine`]'s semantics.
+    fn merge(&mut self, other: &BucketAcc) {
+        let f32_sum = self.ty == ScalarType::F32;
+        for b in (0..self.has.len()).filter(|&b| other.has[b]) {
+            if !self.has[b] {
+                self.has[b] = true;
+                if self.ty.is_float() {
+                    self.floats[b] = other.floats[b];
+                } else {
+                    self.ints[b] = other.ints[b];
+                }
+                continue;
+            }
+            if self.ty.is_float() {
+                let (a, x) = (&mut self.floats[b], other.floats[b]);
+                *a = match self.agg {
+                    AggKind::Sum if f32_sum => (*a + x) as f32 as f64,
+                    AggKind::Sum => *a + x,
+                    AggKind::Min if total_key(x) < total_key(*a) => x,
+                    AggKind::Max if total_key(x) > total_key(*a) => x,
+                    _ => *a,
+                };
+            } else {
+                let (a, x) = (&mut self.ints[b], other.ints[b]);
+                *a = match self.agg {
+                    AggKind::Sum => a.wrapping_add(x),
+                    AggKind::Min => (*a).min(x),
+                    AggKind::Max => (*a).max(x),
+                };
+            }
+        }
+    }
+
+    /// One slot per bucket, ε where the bucket folded nothing.
+    fn into_column(self) -> Column {
+        let empty: Vec<bool> = self.has.iter().map(|h| !h).collect();
+        let data = match self.ty {
+            ScalarType::Bool => Buffer::Bool(self.ints.iter().map(|&x| x != 0).collect()),
+            ScalarType::I32 => Buffer::I32(self.ints.iter().map(|&x| x as i32).collect()),
+            ScalarType::I64 => Buffer::I64(self.ints),
+            ScalarType::F32 => Buffer::F32(self.floats.iter().map(|&x| x as f32).collect()),
+            ScalarType::F64 => Buffer::F64(self.floats),
+        };
+        Column::from_parts(data, empty)
     }
 }
 
@@ -1497,10 +1594,7 @@ struct CastScratch {
 /// when the lanes already hold `ty` values.
 fn cast_lanes<'r>(v: &View<'r>, ty: ScalarType, scratch: &'r mut CastScratch) -> CastLanes<'r> {
     use ScalarType::*;
-    let exact = matches!(
-        (v.ty, ty),
-        (Bool | I32, I64) | (Bool, I32) | (F32, F64)
-    ) || v.ty == ty;
+    let exact = matches!((v.ty, ty), (Bool | I32, I64) | (Bool, I32) | (F32, F64)) || v.ty == ty;
     match (v.lanes, exact) {
         (Lanes::Int(x), true) => return CastLanes::Int(x),
         (Lanes::Float(x), true) => return CastLanes::Float(x),
@@ -1640,13 +1734,13 @@ fn eval_pivots(
     pivot_len: usize,
     sources: &[Option<Arc<MatVec>>],
     env: &mut Env,
-) -> Vec<i64> {
+) -> Pivots {
     let mut piv: Vec<i64> = eval_keys(dag, pivot_len, sources, env)
         .into_iter()
         .flatten()
         .collect();
     piv.sort_unstable();
-    piv
+    Pivots::new(piv)
 }
 
 /// Slots an output column occupies: the whole domain for `Full` layout,
@@ -1684,22 +1778,55 @@ fn combine(agg: AggKind, a: ScalarValue, b: ScalarValue) -> ScalarValue {
     }
 }
 
-/// Bucket of a key given sorted pivots — identical to the interpreter's
-/// `partition_positions` bucketing so the backends agree exactly.
-fn bucket_of(piv: &[i64], key: Option<i64>) -> usize {
-    match key {
-        None => 0,
-        Some(x) => piv.partition_point(|&p| p <= x).saturating_sub(1),
+/// Sorted partition pivots and the bucket lookup over them.
+struct Pivots {
+    piv: Vec<i64>,
+    /// `piv[0]` when the pivots are consecutive integers (the usual
+    /// group-key domain): lookups are then arithmetic, not a search.
+    dense_from: Option<i64>,
+}
+
+impl Pivots {
+    fn new(piv: Vec<i64>) -> Pivots {
+        let dense_from = piv.first().copied().filter(|&p0| {
+            piv.iter()
+                .enumerate()
+                .all(|(i, &p)| Some(p) == p0.checked_add(i as i64))
+        });
+        Pivots { piv, dense_from }
+    }
+
+    /// Number of buckets (at least one).
+    fn buckets(&self) -> usize {
+        self.piv.len().max(1)
+    }
+
+    /// Bucket of a key — identical to the interpreter's
+    /// `partition_positions` bucketing so the backends agree exactly: the
+    /// last pivot `<=` the key, bucket 0 for smaller keys and ε.
+    #[inline]
+    fn of(&self, key: Option<i64>) -> usize {
+        match (key, self.dense_from) {
+            (None, _) => 0,
+            (Some(x), Some(p0)) => {
+                if x <= p0 {
+                    0
+                } else {
+                    (x.abs_diff(p0) as u128).min(self.piv.len() as u128 - 1) as usize
+                }
+            }
+            (Some(x), None) => self.piv.partition_point(|&p| p <= x).saturating_sub(1),
+        }
     }
 }
 
 /// Stable counting-sort positions (shared by Partition and the group-agg
 /// fallback).
-fn counting_sort_positions(keys: &[Option<i64>], piv: &[i64]) -> Vec<usize> {
-    let nb = piv.len().max(1);
+fn counting_sort_positions(keys: &[Option<i64>], piv: &Pivots) -> Vec<usize> {
+    let nb = piv.buckets();
     let mut counts = vec![0usize; nb];
     for k in keys {
-        counts[bucket_of(piv, *k)] += 1;
+        counts[piv.of(*k)] += 1;
     }
     let mut cursors = vec![0usize; nb];
     let mut acc = 0usize;
@@ -1709,10 +1836,56 @@ fn counting_sort_positions(keys: &[Option<i64>], piv: &[i64]) -> Vec<usize> {
     }
     keys.iter()
         .map(|k| {
-            let b = bucket_of(piv, *k);
+            let b = piv.of(*k);
             let p = cursors[b];
             cursors[b] += 1;
             p
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The arithmetic lookup over consecutive pivots agrees with the
+    /// binary search, including keys far outside the pivot range.
+    #[test]
+    fn dense_pivot_lookup_matches_search() {
+        for piv in [
+            vec![5],
+            vec![-3, -2, -1, 0, 1],
+            (100..140).collect::<Vec<i64>>(),
+        ] {
+            let dense = Pivots::new(piv.clone());
+            assert!(dense.dense_from.is_some());
+            let search = Pivots {
+                piv,
+                dense_from: None,
+            };
+            for x in [
+                i64::MIN,
+                -1000,
+                -4,
+                -3,
+                -2,
+                0,
+                1,
+                4,
+                5,
+                6,
+                99,
+                100,
+                120,
+                139,
+                140,
+                i64::MAX,
+            ] {
+                assert_eq!(dense.of(Some(x)), search.of(Some(x)), "key {x}");
+            }
+            assert_eq!(dense.of(None), 0);
+        }
+        assert!(Pivots::new(vec![1, 2, 4]).dense_from.is_none());
+        assert!(Pivots::new(vec![1, 1, 2]).dense_from.is_none());
+    }
 }

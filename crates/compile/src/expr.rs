@@ -894,7 +894,14 @@ fn cast_in_place(out: &mut Reg<'_>, from: ScalarType, len: usize) {
 
 /// Write lanes `[a, b)` of `v`, cast to the buffer's type, to
 /// `dst[off..]`; ε lanes keep the destination's ε and zero value.
-pub fn store_lanes(v: &View<'_>, a: usize, b: usize, dst: &mut Buffer, dst_empty: &mut [bool], off: usize) {
+pub fn store_lanes(
+    v: &View<'_>,
+    a: usize,
+    b: usize,
+    dst: &mut Buffer,
+    dst_empty: &mut [bool],
+    off: usize,
+) {
     macro_rules! st {
         ($d:expr, $src:expr, $conv:expr) => {{
             let d = &mut $d[off..off + (b - a)];
@@ -1054,7 +1061,9 @@ impl<'a> Chunks<'a> {
                     let o = &mut out.own_ints()[..len];
                     if m.step_den == 1 && m.cap.is_none() {
                         for (k, x) in o.iter_mut().enumerate() {
-                            *x = m.from.wrapping_add(((start + k) as i64).wrapping_mul(m.step_num));
+                            *x = m
+                                .from
+                                .wrapping_add(((start + k) as i64).wrapping_mul(m.step_num));
                         }
                     } else {
                         for (k, x) in o.iter_mut().enumerate() {
@@ -1085,7 +1094,14 @@ impl<'a> Chunks<'a> {
                     out.own_ints();
                     out.own_floats();
                     out.own_empty();
-                    gather_lanes(src, len, idx, &mut out.ints, &mut out.floats, &mut out.empty);
+                    gather_lanes(
+                        src,
+                        len,
+                        idx,
+                        &mut out.ints,
+                        &mut out.floats,
+                        &mut out.empty,
+                    );
                     if !out.empty[..len].contains(&true) {
                         out.mask = MaskHeld::Dense;
                     }
@@ -1096,8 +1112,12 @@ impl<'a> Chunks<'a> {
                     bin_lanes(*op, &lv, &rv, len, out, &mut self.scratch);
                     match (lv.empty, rv.empty) {
                         (None, None) => out.mask = MaskHeld::Dense,
-                        (Some(a), None) | (None, Some(a)) => out.own_empty()[..len].copy_from_slice(a),
-                        (Some(a), Some(b)) => zip_map(a, b, &mut out.own_empty()[..len], |x, y| x | y),
+                        (Some(a), None) | (None, Some(a)) => {
+                            out.own_empty()[..len].copy_from_slice(a)
+                        }
+                        (Some(a), Some(b)) => {
+                            zip_map(a, b, &mut out.own_empty()[..len], |x, y| x | y)
+                        }
                     }
                 }
                 Node::FilterIndex { sel, .. } => {
@@ -1351,7 +1371,12 @@ mod tests {
         Dag::flatten(&[&Arc::new(e)], &|_| false)
     }
 
-    fn eval_all(dag: &Dag, sources: &[Option<Arc<MatVec>>], n: usize, env: &mut Env) -> Vec<Option<ScalarValue>> {
+    fn eval_all(
+        dag: &Dag,
+        sources: &[Option<Arc<MatVec>>],
+        n: usize,
+        env: &mut Env,
+    ) -> Vec<Option<ScalarValue>> {
         let mut ch = Chunks::new(dag, sources, env.counting);
         let mut out = Vec::new();
         let mut s = 0;
@@ -1376,7 +1401,10 @@ mod tests {
             l: col0(),
             r: Arc::new(Expr::Const(ScalarValue::I64(5))),
         });
-        assert_eq!(eval_all(&dag, &sources, 3, &mut env)[1], Some(ScalarValue::I64(25)));
+        assert_eq!(
+            eval_all(&dag, &sources, 3, &mut env)[1],
+            Some(ScalarValue::I64(25))
+        );
     }
 
     #[test]
@@ -1384,7 +1412,10 @@ mod tests {
         let sources: Vec<Option<Arc<MatVec>>> = vec![];
         let mut env = Env::new(true, 0, 4);
         let dag = dag_of(Expr::Form(RunMeta::range(3, 2)));
-        assert_eq!(eval_all(&dag, &sources, 5, &mut env)[4], Some(ScalarValue::I64(11)));
+        assert_eq!(
+            eval_all(&dag, &sources, 5, &mut env)[4],
+            Some(ScalarValue::I64(11))
+        );
         // No reads counted — the control vector is never materialized.
         assert_eq!(env.profile.seq_read_bytes, 0);
     }
@@ -1393,9 +1424,20 @@ mod tests {
     fn filter_counts_branches_and_flips() {
         let sources = src_of(vec![1, 0, 0, 1]);
         let mut env = Env::new(true, 1, 4);
-        let dag = dag_of(Expr::FilterIndex { sel: col0(), site: 0 });
+        let dag = dag_of(Expr::FilterIndex {
+            sel: col0(),
+            site: 0,
+        });
         let out = eval_all(&dag, &sources, 4, &mut env);
-        assert_eq!(out, vec![Some(ScalarValue::I64(0)), None, None, Some(ScalarValue::I64(3))]);
+        assert_eq!(
+            out,
+            vec![
+                Some(ScalarValue::I64(0)),
+                None,
+                None,
+                Some(ScalarValue::I64(3))
+            ]
+        );
         assert_eq!(env.profile.branches, 4);
         // Outcomes: T,F,F,T → 3 flips (initial counts as one).
         assert_eq!(env.profile.branch_flips, 3);
@@ -1432,7 +1474,10 @@ mod tests {
             src_len: 2,
             site: 0,
         });
-        assert_eq!(eval_all(&dag, &sources, 1, &mut env)[0], Some(ScalarValue::I64(20)));
+        assert_eq!(
+            eval_all(&dag, &sources, 1, &mut env)[0],
+            Some(ScalarValue::I64(20))
+        );
         assert_eq!(env.profile.rand_reads, 1);
     }
 
@@ -1446,7 +1491,10 @@ mod tests {
             width: 8,
             broadcast: true,
         });
-        assert_eq!(eval_all(&dag, &sources, 101, &mut env)[100], Some(ScalarValue::I64(42)));
+        assert_eq!(
+            eval_all(&dag, &sources, 101, &mut env)[100],
+            Some(ScalarValue::I64(42))
+        );
     }
 
     #[test]
@@ -1549,9 +1597,10 @@ mod tests {
             ScalarType::I32 | ScalarType::I64 => {
                 ints.iter().map(|&v| ScalarValue::I64(v).cast(ty)).collect()
             }
-            ScalarType::F32 | ScalarType::F64 => {
-                floats.iter().map(|&v| ScalarValue::F64(v).cast(ty)).collect()
-            }
+            ScalarType::F32 | ScalarType::F64 => floats
+                .iter()
+                .map(|&v| ScalarValue::F64(v).cast(ty))
+                .collect(),
         }
     }
 
@@ -1679,11 +1728,10 @@ mod tests {
                 for (i, v) in vals.iter().enumerate() {
                     want.set(i, *v);
                 }
-                for i in 0..vals.len() {
+                for (i, v) in vals.iter().enumerate() {
                     assert!(
                         same_bits(Some(got.get(i)), Some(want.get(i))),
-                        "{from:?}→{to:?} {:?}",
-                        vals[i]
+                        "{from:?}→{to:?} {v:?}"
                     );
                 }
                 assert!(empty.iter().all(|e| !e));

@@ -23,6 +23,10 @@
 //! * **Vectorized selection** (§5.3): a chunk-controlled `FoldSelect`
 //!   followed by `Gather`+`Fold` executes as the paper's two-loop,
 //!   cache-resident position-buffer pipeline.
+//! * **Column-at-a-time kernels**: each kernel's fused expressions are
+//!   flattened into a DAG at prepare and evaluated once per 1024-row
+//!   chunk into typed registers ([`expr::Chunks`]) — tight, vectorizable
+//!   loops over contiguous columns instead of a per-element tree walk.
 //! * **Predication** as a physical tuning flag ([`ExecOptions`], §4
 //!   "optimization flags"): position emission uses branch-free cursor
 //!   arithmetic instead of an `if`.

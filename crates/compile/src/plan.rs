@@ -16,6 +16,10 @@
 //! Only unit outputs are materialized; everything else is recomputed from
 //! its closed form or fused expression, exactly like the generated OpenCL
 //! kernels in the paper materialize only at fragment seams.
+//!
+//! Compilation ends by flattening each unit's expressions into the kernel
+//! DAGs the executor evaluates chunk by chunk ([`crate::expr::Dag`]):
+//! dense node ids, one per distinct node, one DAG per evaluation pass.
 
 use std::sync::Arc;
 
@@ -310,6 +314,9 @@ pub enum Bulk {
 }
 
 /// One execution unit.
+// A plan holds a handful of units; boxing the larger variant would
+// save nothing measurable.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum Unit {
     /// A fused loop.
@@ -408,9 +415,9 @@ impl<'a> Compiler<'a> {
 fn unit_roots(unit: &Unit) -> Vec<&Arc<Expr>> {
     match unit {
         Unit::Fragment(f) => fragment_roots(f),
-        Unit::Bulk(Bulk::ScatterOp { pos, cols, .. }) => {
-            std::iter::once(pos).chain(cols.iter().map(|c| &c.2)).collect()
-        }
+        Unit::Bulk(Bulk::ScatterOp { pos, cols, .. }) => std::iter::once(pos)
+            .chain(cols.iter().map(|c| &c.2))
+            .collect(),
         Unit::Bulk(Bulk::PartitionOp { key, pivot, .. }) => vec![key, pivot],
         Unit::Bulk(Bulk::GroupAgg {
             key,
@@ -471,7 +478,9 @@ fn attach_dags(units: &mut [Unit]) {
         match unit {
             Unit::Fragment(f) => f.dag = Dag::flatten(&fragment_roots(f), &shared),
             Unit::Bulk(Bulk::ScatterOp { pos, cols, dag, .. }) => {
-                let roots: Vec<_> = std::iter::once(&*pos).chain(cols.iter().map(|c| &c.2)).collect();
+                let roots: Vec<_> = std::iter::once(&*pos)
+                    .chain(cols.iter().map(|c| &c.2))
+                    .collect();
                 *dag = Dag::flatten(&roots, &shared);
             }
             Unit::Bulk(Bulk::PartitionOp {
@@ -495,7 +504,9 @@ fn attach_dags(units: &mut [Unit]) {
                 cols_dag,
                 ..
             }) => {
-                let agg: Vec<_> = std::iter::once(&*key).chain(folds.iter().map(|f| &f.val)).collect();
+                let agg: Vec<_> = std::iter::once(&*key)
+                    .chain(folds.iter().map(|f| &f.val))
+                    .collect();
                 *agg_dag = Dag::flatten(&agg, &shared);
                 *pivot_dag = Dag::flatten(&[pivot], &shared);
                 *key_dag = Dag::flatten(&[key], &shared);

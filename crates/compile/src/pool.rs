@@ -155,6 +155,15 @@ impl PoolInner {
         None
     }
 
+    /// Pop the newest still-queued task of `batch` from its home deque
+    /// (for the submitter to run itself).
+    fn take_own(&self, home: usize, batch: &Arc<BatchSync>) -> Option<Runnable> {
+        let mut st = self.lock();
+        let q = &mut st.queues[home];
+        let i = q.iter().rposition(|r| Arc::ptr_eq(&r.batch, batch))?;
+        q.remove(i)
+    }
+
     fn worker_loop(self: &Arc<Self>, me: usize) {
         IS_POOL_WORKER.with(|f| f.set(true));
         loop {
@@ -234,6 +243,10 @@ thread_local! {
     /// waiting on itself.
     static IS_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
+
+/// How long a submitter spins (yielding its core) on its batch latch
+/// before sleeping on it.
+const LATCH_SPIN: std::time::Duration = std::time::Duration::from_millis(5);
 
 /// Process-wide pool handle storage for [`MorselPool::global`].
 static GLOBAL_POOL: OnceLock<MorselPool> = OnceLock::new();
@@ -404,9 +417,24 @@ impl MorselPool {
                 self.inner.tasks.fetch_add(n as u64, Ordering::Relaxed);
                 drop(st);
                 self.inner.task_ready.notify_all();
+                // The submitter helps: it runs its own batch's newest
+                // tasks while the workers wake, so a batch never waits
+                // on a wake-up to start.
+                while let Some(r) = self.inner.take_own(home, &batch) {
+                    (r.task)();
+                }
             }
             // The batch latch: tasks may still be executing on workers;
-            // do not touch `slots` until all have finished.
+            // do not touch `slots` until all have finished. Spin
+            // (yielding) briefly before sleeping: the stragglers are
+            // running, and a sleeping submitter would add a wake-up to
+            // every batch.
+            let spin = std::time::Instant::now();
+            while *batch.remaining.lock().unwrap_or_else(|e| e.into_inner()) > 0
+                && spin.elapsed() < LATCH_SPIN
+            {
+                std::thread::yield_now();
+            }
             let mut rem = batch.remaining.lock().unwrap_or_else(|e| e.into_inner());
             while *rem > 0 {
                 rem = batch.done.wait(rem).unwrap_or_else(|e| e.into_inner());

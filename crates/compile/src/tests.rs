@@ -739,8 +739,11 @@ fn diff_float_scan_and_vectorized_select() {
 // Event-count golden
 // ---------------------------------------------------------------------
 
+/// Builds one differential program and its catalog.
+type ProgramFixture = fn() -> (Catalog, Program);
+
 /// Every differential program above, by name.
-fn golden_programs() -> Vec<(&'static str, fn() -> (Catalog, Program))> {
+fn golden_programs() -> Vec<(&'static str, ProgramFixture)> {
     vec![
         ("elementwise_chain", prog_elementwise_chain),
         ("comparisons_and_logic", prog_comparisons_and_logic),

@@ -267,8 +267,11 @@ impl BinOp {
         Ok(Self::promote(lhs, rhs))
     }
 
-    /// Evaluate the operator on two scalar values (reference semantics; the
-    /// compiled backend uses typed fast paths that must agree with this).
+    /// Evaluate the operator on two scalar values — the reference
+    /// semantics. The compiled backend's typed lane kernels
+    /// (`voodoo_compile::expr`) reproduce `eval(..).cast(ty)` bit for bit
+    /// and are property-tested against it for every operator and
+    /// operand/result type.
     ///
     /// Integer division/modulo by zero yields 0 — Voodoo programs are
     /// deterministic and must not trap (paper §2, "Deterministic").

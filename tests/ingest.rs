@@ -369,7 +369,11 @@ fn wrong_arity_appends_are_refused_without_side_effects() {
     let before = append_state(&cat, "kv");
     for rows in &bad {
         assert!(!cat.append_rows("kv", rows), "catalog accepted {rows:?}");
-        assert_eq!(append_state(&cat, "kv"), before, "catalog changed on {rows:?}");
+        assert_eq!(
+            append_state(&cat, "kv"),
+            before,
+            "catalog changed on {rows:?}"
+        );
     }
 
     let engine = Engine::new(base());
@@ -377,7 +381,10 @@ fn wrong_arity_appends_are_refused_without_side_effects() {
     let before = append_state(&engine.snapshot(), "kv");
     for rows in &bad {
         assert!(!engine.append_rows("kv", rows), "engine accepted {rows:?}");
-        assert!(!session.append_rows("kv", rows), "session accepted {rows:?}");
+        assert!(
+            !session.append_rows("kv", rows),
+            "session accepted {rows:?}"
+        );
         assert_eq!(append_state(&engine.snapshot(), "kv"), before);
         assert_eq!(append_state(&session.catalog(), "kv"), before);
     }
@@ -388,11 +395,17 @@ fn wrong_arity_appends_are_refused_without_side_effects() {
     let owner = sharded.table_shard("kv");
     let shard_state = |i: usize| {
         let snap = sharded.shard_engine(i).snapshot();
-        (snap.version(), snap.table("kv").map(|_| append_state(&snap, "kv")))
+        (
+            snap.version(),
+            snap.table("kv").map(|_| append_state(&snap, "kv")),
+        )
     };
     let before: Vec<_> = (0..2).map(shard_state).collect();
     for rows in &bad {
-        assert!(!sharded.append_rows("kv", rows), "sharded accepted {rows:?}");
+        assert!(
+            !sharded.append_rows("kv", rows),
+            "sharded accepted {rows:?}"
+        );
         let after: Vec<_> = (0..2).map(shard_state).collect();
         assert_eq!(after, before, "a shard changed on {rows:?}");
     }
