@@ -634,7 +634,6 @@ impl Executor {
         let mut run = RunState {
             accs: vec![None; frag.actions.len()],
             cursors: vec![s; frag.actions.len()],
-            last_taken: vec![true; frag.actions.len()],
             start: s,
         };
         // Root `k + first` is action `k`'s expression.
@@ -759,7 +758,6 @@ impl Executor {
                         seg.set(run.cursors[ai] - s, ScalarValue::I64((c0 + k) as i64));
                         run.cursors[ai] += 1;
                     }
-                    run.last_taken[ai] = taken;
                 }
             }
         }
@@ -785,9 +783,7 @@ impl Executor {
     }
 
     /// End of a dynamic run at `end`: store folds at the run's first
-    /// slot and restart folds and cursors. Scans carry on across runs,
-    /// and a predicated emission leaves its last unconditional write in
-    /// place (the dynamic loop has no tail fix-up).
+    /// slot and restart every accumulator and cursor for the next run.
     fn flush_dynamic_run(
         &self,
         frag: &Fragment,
@@ -797,24 +793,12 @@ impl Executor {
         s: usize,
     ) {
         for (ai, action) in frag.actions.iter().enumerate() {
-            match action {
-                Action::FoldAggAct { out, .. } => {
-                    if let Some(v) = run.accs[ai].take() {
-                        segs[*out].set(run.start - s, v);
-                    }
-                }
-                Action::SelectEmit { out, .. }
-                    if self.opts.predicated_select
-                        && !run.last_taken[ai]
-                        && run.cursors[ai] < end =>
-                {
-                    segs[*out].set(run.cursors[ai] - s, ScalarValue::I64(end as i64 - 1));
-                }
-                _ => {}
+            if let (Action::FoldAggAct { out, .. }, Some(v)) = (action, run.accs[ai]) {
+                segs[*out].set(run.start - s, v);
             }
         }
+        run.accs.fill(None);
         run.cursors.fill(end);
-        run.last_taken.fill(true);
         run.start = end;
     }
 
@@ -1253,8 +1237,6 @@ impl Executor {
 struct RunState {
     accs: Vec<Option<ScalarValue>>,
     cursors: Vec<usize>,
-    /// Whether each emission's most recent row was selected.
-    last_taken: Vec<bool>,
     start: usize,
 }
 

@@ -735,6 +735,45 @@ fn diff_float_scan_and_vectorized_select() {
     assert_equivalent(&cat, &p);
 }
 
+/// Folds, a prefix scan and a position emission whose runs come from a
+/// loaded key column: run boundaries are detected at run time (the
+/// dynamic run structure), including runs that straddle chunks. Scans
+/// restart at every run and a predicated emission leaves no stray slot.
+fn prog_dynamic_runs() -> (Catalog, Program) {
+    let mut cat = Catalog::in_memory();
+    let n = 3000i64;
+    let mut t = Table::new("runs");
+    t.add_column(TableColumn::from_buffer(
+        "k",
+        Buffer::I64((0..n).map(|i| i / 7 + i / 1500).collect()),
+    ));
+    t.add_column(TableColumn::from_buffer(
+        "v",
+        Buffer::I64((0..n).map(|i| (i * 37) % 11 - 5).collect()),
+    ));
+    cat.insert_table(t);
+    let mut p = Program::new();
+    let t = p.load("runs");
+    let k = Some(kp(".k"));
+    let sums = p.fold_agg_kp(AggKind::Sum, t, k.clone(), kp(".v"), kp(".sum"));
+    let mins = p.fold_agg_kp(AggKind::Min, t, k.clone(), kp(".v"), kp(".min"));
+    let scan = p.fold_scan_kp(t, k.clone(), kp(".v"), kp(".scan"));
+    let positive = p.binary_const(BinOp::Greater, t, kp(".v"), 0i64, kp(".s"));
+    let keyed = p.zip_kp(kp(".k"), t, kp(".k"), kp(".s"), positive, kp(".s"));
+    let pos = p.fold_select_kp(keyed, k, kp(".s"), kp(".pos"));
+    p.ret(sums);
+    p.ret(mins);
+    p.ret(scan);
+    p.ret(pos);
+    (cat, p)
+}
+
+#[test]
+fn diff_dynamic_runs() {
+    let (cat, p) = prog_dynamic_runs();
+    assert_equivalent(&cat, &p);
+}
+
 // ---------------------------------------------------------------------
 // Event-count golden
 // ---------------------------------------------------------------------
@@ -780,6 +819,7 @@ fn golden_programs() -> Vec<(&'static str, ProgramFixture)> {
             "float_scan_and_vectorized_select",
             prog_float_scan_and_vectorized_select,
         ),
+        ("dynamic_runs", prog_dynamic_runs),
     ]
 }
 
