@@ -55,7 +55,8 @@ use voodoo_interp::ExecOutput;
 use voodoo_storage::{Catalog, Morsel, Partitioning, DEFAULT_STEAL_GRAIN};
 
 use crate::expr::{
-    store_lanes, total_key, Active, Chunks, Dag, Env, Expr, Lanes, SourceCol, View, CHUNK,
+    cast_lanes, store_lanes, total_key, Active, Chunks, Dag, Env, Expr, Lanes, SourceCol, View,
+    CHUNK,
 };
 use crate::plan::{
     Action, Bulk, CompiledProgram, Fragment, GroupFold, Layout, RunStructure, Unit, VsFold,
@@ -1470,9 +1471,9 @@ impl BucketAcc {
     /// returns the number of (non-ε) values folded.
     fn add(&mut self, v: &View<'_>, buckets: &[usize]) -> u64 {
         let mut n = 0u64;
-        let mut scratch = CastScratch::default();
-        match cast_lanes(v, self.ty, &mut scratch) {
-            CastLanes::Int(x) => {
+        let (mut ints, mut floats) = (Vec::new(), Vec::new());
+        match cast_lanes(v, self.ty, &mut ints, &mut floats) {
+            Lanes::Int(x) => {
                 for (k, &b) in buckets.iter().enumerate() {
                     if !v.valid(k) {
                         continue;
@@ -1488,7 +1489,7 @@ impl BucketAcc {
                     self.has[b] = true;
                 }
             }
-            CastLanes::Float(x) => {
+            Lanes::Float(x) => {
                 let f32_sum = self.ty == ScalarType::F32;
                 for (k, &b) in buckets.iter().enumerate() {
                     if !v.valid(k) {
@@ -1559,43 +1560,6 @@ impl BucketAcc {
     }
 }
 
-/// Register lanes re-typed to an accumulator type's lane class.
-enum CastLanes<'r> {
-    Int(&'r [i64]),
-    Float(&'r [f64]),
-}
-
-/// Conversion buffers for [`cast_lanes`].
-#[derive(Default)]
-struct CastScratch {
-    ints: Vec<i64>,
-    floats: Vec<f64>,
-}
-
-/// `v`'s lanes cast to `ty` ([`ScalarValue::cast`] semantics), borrowing
-/// when the lanes already hold `ty` values.
-fn cast_lanes<'r>(v: &View<'r>, ty: ScalarType, scratch: &'r mut CastScratch) -> CastLanes<'r> {
-    use ScalarType::*;
-    let exact = matches!((v.ty, ty), (Bool | I32, I64) | (Bool, I32) | (F32, F64)) || v.ty == ty;
-    match (v.lanes, exact) {
-        (Lanes::Int(x), true) => return CastLanes::Int(x),
-        (Lanes::Float(x), true) => return CastLanes::Float(x),
-        _ => {}
-    }
-    let cast = |s: ScalarValue| s.cast(ty);
-    let scalars: Vec<ScalarValue> = match v.lanes {
-        Lanes::Int(x) => x.iter().map(|&y| cast(ScalarValue::I64(y))).collect(),
-        Lanes::Float(x) => x.iter().map(|&y| cast(ScalarValue::F64(y))).collect(),
-    };
-    if ty.is_float() {
-        scratch.floats = scalars.iter().map(|s| s.as_f64()).collect();
-        CastLanes::Float(&scratch.floats)
-    } else {
-        scratch.ints = scalars.iter().map(|s| s.as_i64()).collect();
-        CastLanes::Int(&scratch.ints)
-    }
-}
-
 /// Fold the non-ε lanes `[a, b)` of `v`, cast to `ty`, into `acc` in
 /// row order with [`combine`]'s semantics; returns how many were folded.
 /// Integer folds reduce the range first (wrapping sums and min/max are
@@ -1608,10 +1572,10 @@ fn fold_lanes(
     b: usize,
     acc: &mut Option<ScalarValue>,
 ) -> u64 {
-    let mut scratch = CastScratch::default();
+    let (mut ints, mut floats) = (Vec::new(), Vec::new());
     let valid = |k: usize| v.valid(k);
-    match cast_lanes(v, ty, &mut scratch) {
-        CastLanes::Int(x) => {
+    match cast_lanes(v, ty, &mut ints, &mut floats) {
+        Lanes::Int(x) => {
             let (mut r, mut n) = match agg {
                 AggKind::Sum => (0i64, 0u64),
                 AggKind::Min => (i64::MAX, 0),
@@ -1652,7 +1616,7 @@ fn fold_lanes(
             }
             n
         }
-        CastLanes::Float(x) => {
+        Lanes::Float(x) => {
             let f32_sum = ty == ScalarType::F32;
             let mut cur = acc.map(|s| s.as_f64());
             let mut n = 0u64;

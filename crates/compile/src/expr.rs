@@ -845,50 +845,76 @@ fn bin_lanes(
     cast_in_place(out, nt, len);
 }
 
-/// Re-type `out`'s lanes, currently holding values of type `from`, to
-/// `out.ty` with [`ScalarValue::cast`]'s semantics.
-fn cast_in_place(out: &mut Reg<'_>, from: ScalarType, len: usize) {
+/// Whether lanes holding `from` values already hold the same values
+/// cast to `to` (exact widenings).
+fn lanes_hold(from: ScalarType, to: ScalarType) -> bool {
     use ScalarType::*;
-    let to = out.ty;
-    match (from.is_float(), to) {
-        // Same-class widenings are exact: lanes already hold the value.
-        (false, I64) | (true, F64) => {}
-        (false, I32) if from != I64 => {}
-        (false, Bool) if from == Bool => {}
-        (true, F32) if from == F32 => {}
-        (false, Bool) => out.own_ints()[..len]
-            .iter_mut()
-            .for_each(|x| *x = (*x != 0) as i64),
-        (false, I32) => out.own_ints()[..len]
-            .iter_mut()
-            .for_each(|x| *x = *x as i32 as i64),
-        (true, F32) => out.own_floats()[..len]
-            .iter_mut()
-            .for_each(|x| *x = *x as f32 as f64),
-        (false, F32 | F64) => {
-            let src = std::mem::take(&mut out.ints);
-            let o = &mut out.own_floats()[..len];
-            for (o, &x) in o.iter_mut().zip(&src[..len]) {
-                *o = if to == F32 {
-                    x as f64 as f32 as f64
-                } else {
-                    x as f64
-                };
-            }
-            out.ints = src;
-        }
-        (true, Bool | I32 | I64) => {
-            let src = std::mem::take(&mut out.floats);
-            let o = &mut out.own_ints()[..len];
-            for (o, &x) in o.iter_mut().zip(&src[..len]) {
-                *o = match to {
-                    Bool => (x != 0.0) as i64,
-                    I32 => x as i64 as i32 as i64,
-                    _ => x as i64,
-                };
-            }
-            out.floats = src;
-        }
+    from == to || matches!((from, to), (Bool | I32, I64) | (Bool, I32) | (F32, F64))
+}
+
+/// `v`'s lanes cast to `ty` with [`ScalarValue::cast`]'s semantics:
+/// borrowed when they already hold `ty` values, else converted into one
+/// of the two buffers.
+pub(crate) fn cast_lanes<'r>(
+    v: &View<'r>,
+    ty: ScalarType,
+    ints: &'r mut Vec<i64>,
+    floats: &'r mut Vec<f64>,
+) -> Lanes<'r> {
+    use ScalarType::*;
+    if lanes_hold(v.ty, ty) {
+        return v.lanes;
+    }
+    fn conv<S: Copy, T>(src: &[S], dst: &mut Vec<T>, f: impl Fn(S) -> T) {
+        dst.clear();
+        dst.extend(src.iter().map(|&x| f(x)));
+    }
+    match (v.lanes, ty) {
+        (Lanes::Int(x), Bool) => conv(x, ints, |x| (x != 0) as i64),
+        (Lanes::Int(x), I32) => conv(x, ints, |x| x as i32 as i64),
+        (Lanes::Int(x), I64) => conv(x, ints, |x| x),
+        (Lanes::Int(x), F32) => conv(x, floats, |x| x as f64 as f32 as f64),
+        (Lanes::Int(x), F64) => conv(x, floats, |x| x as f64),
+        (Lanes::Float(x), Bool) => conv(x, ints, |x| (x != 0.0) as i64),
+        (Lanes::Float(x), I32) => conv(x, ints, |x| x as i64 as i32 as i64),
+        (Lanes::Float(x), I64) => conv(x, ints, |x| x as i64),
+        (Lanes::Float(x), F32) => conv(x, floats, |x| x as f32 as f64),
+        (Lanes::Float(x), F64) => conv(x, floats, |x| x),
+    }
+    if ty.is_float() {
+        Lanes::Float(floats)
+    } else {
+        Lanes::Int(ints)
+    }
+}
+
+/// Re-type `out`'s lanes, currently holding values of type `from`, to
+/// `out.ty`.
+fn cast_in_place(out: &mut Reg<'_>, from: ScalarType, len: usize) {
+    if lanes_hold(from, out.ty) {
+        return;
+    }
+    let (ni, nf) = (
+        std::mem::take(&mut out.ints),
+        std::mem::take(&mut out.floats),
+    );
+    let natural = View {
+        ty: from,
+        lanes: if from.is_float() {
+            Lanes::Float(&nf[..len])
+        } else {
+            Lanes::Int(&ni[..len])
+        },
+        empty: None,
+    };
+    // Not an exact widening, so the cast lands in `ints` or `floats`.
+    let (mut ints, mut floats) = (Vec::new(), Vec::new());
+    cast_lanes(&natural, out.ty, &mut ints, &mut floats);
+    (out.ints, out.floats) = (ni, nf);
+    if out.ty.is_float() {
+        out.own_floats()[..len].copy_from_slice(&floats);
+    } else {
+        out.own_ints()[..len].copy_from_slice(&ints);
     }
 }
 
@@ -971,7 +997,6 @@ pub struct Chunks<'a> {
     regs: Vec<Reg<'a>>,
     srcs: Vec<Option<SourceCol<'a>>>,
     scratch: Scratch,
-    start: usize,
     len: usize,
     /// Per node × lane evaluation counts (counting mode only).
     evals: Vec<u32>,
@@ -1020,22 +1045,11 @@ impl<'a> Chunks<'a> {
             regs,
             srcs,
             scratch: Scratch::default(),
-            start: 0,
             len: 0,
             evals: vec![0; n],
             calls: vec![0; n],
             gather_groups: gather_groups.into_iter().map(|(_, g)| g).collect(),
         }
-    }
-
-    /// Rows in the current chunk.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the current chunk is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The current chunk's values of root `k`.
@@ -1046,7 +1060,6 @@ impl<'a> Chunks<'a> {
     /// Compute every node over rows `[start, start + len)`, `len ≤ CHUNK`.
     pub fn compute(&mut self, start: usize, len: usize) {
         debug_assert!(len <= CHUNK);
-        self.start = start;
         self.len = len;
         for n in 0..self.dag.nodes.len() {
             let (lo, hi) = self.regs.split_at_mut(n);
@@ -1085,12 +1098,7 @@ impl<'a> Chunks<'a> {
                 Node::ColAt { pos, src_len, .. } => {
                     let src = self.srcs[n].as_ref().expect("column source");
                     let pv = lo[*pos as usize].view(len);
-                    let p = as_i64_lanes(&pv, &mut self.scratch.ia);
-                    let src_len = *src_len;
-                    let idx = |k: usize| {
-                        let x = p[k];
-                        (pv.valid(k) && x >= 0 && (x as usize) < src_len).then_some(x as usize)
-                    };
+                    let idx = |k: usize| in_bounds(&pv, k, *src_len).map(|p| p as usize);
                     out.own_ints();
                     out.own_floats();
                     out.own_empty();
