@@ -16,6 +16,10 @@
 //!   over-decomposed layouts of [`voodoo_storage::Partitioning::
 //!   for_stealing`], a skewed batch rebalances instead of idling
 //!   workers behind the slowest morsel.
+//! * **The submitter helps.** The thread that submits a batch runs the
+//!   batch's newest still-queued tasks itself while the workers wake,
+//!   then spins briefly on the batch latch before sleeping on it — so a
+//!   short batch pays no wake-up latency to start or to finish.
 //! * **Morsel-order results.** [`MorselPool::run`] returns results in
 //!   task order regardless of which worker executed what, so the
 //!   executor's morsel-order merge — the bit-identity invariant — is
@@ -336,7 +340,8 @@ impl MorselPool {
 
     /// Execute `tasks` on the pool and return their results **in task
     /// order** (the executor's morsel order). Blocks until every task
-    /// has completed. If any task panicked, the first payload is
+    /// has completed, running queued tasks of this batch on the calling
+    /// thread meanwhile. If any task panicked, the first payload is
     /// re-raised here — on the *submitting* thread — after the rest of
     /// the batch has finished, so a poisoned statement fails alone
     /// while the workers keep serving.
