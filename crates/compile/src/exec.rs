@@ -556,7 +556,7 @@ impl Executor {
                         .iter()
                         .position(|&e| e)
                         .unwrap_or(seg.len());
-                    out.copy_from(off, seg, 0, n);
+                    out.copy_prefix(off, seg, n);
                     off += n;
                 }
                 out.into_column()
@@ -1286,11 +1286,11 @@ impl OutBuf {
         store_lanes(v, a, b, &mut self.data, &mut self.empty, off);
     }
 
-    /// Copy slots `[from, from + n)` of `src` (same type) to `off..`.
-    fn copy_from(&mut self, off: usize, src: &Column, from: usize, n: usize) {
+    /// Copy the first `n` slots of `src` (same type) to `off..`.
+    fn copy_prefix(&mut self, off: usize, src: &Column, n: usize) {
         macro_rules! cp {
             ($d:expr, $s:expr) => {
-                $d[off..off + n].copy_from_slice(&$s[from..from + n])
+                $d[off..off + n].copy_from_slice(&$s[..n])
             };
         }
         match (&mut self.data, src.buffer()) {
@@ -1301,7 +1301,7 @@ impl OutBuf {
             (Buffer::F64(d), Buffer::F64(s)) => cp!(d, s),
             _ => unreachable!("output segments share their column type"),
         }
-        self.empty[off..off + n].copy_from_slice(&src.empty_mask()[from..from + n]);
+        self.empty[off..off + n].copy_from_slice(&src.empty_mask()[..n]);
     }
 
     /// Apply compacted scatter writes in input order: slot `hits[k]`

@@ -920,7 +920,7 @@ fn cast_in_place(out: &mut Reg<'_>, from: ScalarType, len: usize) {
 
 /// Write lanes `[a, b)` of `v`, cast to the buffer's type, to
 /// `dst[off..]`; ε lanes keep the destination's ε and zero value.
-pub fn store_lanes(
+pub(crate) fn store_lanes(
     v: &View<'_>,
     a: usize,
     b: usize,
