@@ -200,20 +200,42 @@ impl Segment {
 /// keyed on `(table version, row count)` so any mutation — catalog-ticked
 /// or standalone — misses. Interior-mutable: readers materialize lazily
 /// through `&Table`.
+///
+/// A miss after further appends to the same base does not start over:
+/// the entry remembers which segments it folded in, and when those are
+/// still a prefix of the table's list the merge only appends the newer
+/// segments to the cached columns. Once the previous version's readers
+/// are gone the cached buffers are unshared, so that append happens in
+/// place — a read after an append costs O(batch), not a fresh copy of
+/// every resident row.
 #[derive(Debug, Default)]
-struct MergedCache(std::sync::Mutex<Option<((u64, usize), StructuredVector)>>);
+struct MergedCache(std::sync::Mutex<Option<MergedView>>);
 
-impl MergedCache {
-    fn get(&self, key: (u64, usize)) -> Option<StructuredVector> {
-        let guard = self.0.lock().unwrap_or_else(|e| e.into_inner());
-        guard
-            .as_ref()
-            .filter(|(k, _)| *k == key)
-            .map(|(_, v)| v.clone())
-    }
+/// One cached merged view and the inputs it was built from.
+#[derive(Debug, Clone)]
+struct MergedView {
+    key: (u64, usize),
+    base_version: u64,
+    base_len: usize,
+    /// The segments folded in after the base, oldest first.
+    segments: Vec<Arc<Segment>>,
+    /// Merged data, in table column order.
+    columns: Vec<Column>,
+}
 
-    fn put(&self, key: (u64, usize), v: StructuredVector) {
-        *self.0.lock().unwrap_or_else(|e| e.into_inner()) = Some((key, v));
+impl MergedView {
+    /// Whether `t`'s merged view is this one plus zero or more newer
+    /// segments: same base, and the folded segments a prefix of `t`'s.
+    fn is_prefix_of(&self, t: &Table) -> bool {
+        self.base_version == t.base_version
+            && self.base_len == t.base_len()
+            && self.columns.len() == t.columns.len()
+            && self.segments.len() <= t.segments.len()
+            && self
+                .segments
+                .iter()
+                .zip(&t.segments)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
     }
 }
 
@@ -472,7 +494,8 @@ impl Table {
     /// share their column buffers outright (O(#columns)); segmented ones
     /// merge lazily through a per-table cache keyed on
     /// `(version, row count)`, so repeated reads between appends pay the
-    /// concatenation once.
+    /// concatenation once, and a read after further appends extends the
+    /// cached merge by the new segments only.
     pub fn to_vector(&self) -> StructuredVector {
         if self.segments.is_empty() {
             let mut v = StructuredVector::with_len(self.len);
@@ -482,18 +505,42 @@ impl Table {
             return v;
         }
         let key = (self.version, self.len);
-        if let Some(v) = self.merged.get(key) {
-            return v;
-        }
-        let mut v = StructuredVector::with_len(self.len);
-        for (c, col) in self.columns.iter().enumerate() {
-            let mut data = col.data.clone();
-            for seg in &self.segments {
-                data.extend_from(&seg.columns[c]);
+        // Held across the merge: a second reader of the same version
+        // waits for this one's result instead of merging again.
+        let mut cache = self.merged.0.lock().unwrap_or_else(|e| e.into_inner());
+        let mut view = match cache.take() {
+            Some(view) if view.key == key => {
+                let v = self.vector_of(&view.columns);
+                *cache = Some(view);
+                return v;
             }
-            v.insert(KeyPath::new(&col.name), data);
+            Some(view) if view.is_prefix_of(self) => view,
+            _ => MergedView {
+                key,
+                base_version: self.base_version,
+                base_len: self.base_len(),
+                segments: Vec::new(),
+                columns: self.columns.iter().map(|c| c.data.clone()).collect(),
+            },
+        };
+        for seg in &self.segments[view.segments.len()..] {
+            for (data, seg_col) in view.columns.iter_mut().zip(&seg.columns) {
+                data.extend_from(seg_col);
+            }
+            view.segments.push(Arc::clone(seg));
         }
-        self.merged.put(key, v.clone());
+        view.key = key;
+        let v = self.vector_of(&view.columns);
+        *cache = Some(view);
+        v
+    }
+
+    /// A structured vector over merged `columns` (table column order).
+    fn vector_of(&self, columns: &[Column]) -> StructuredVector {
+        let mut v = StructuredVector::with_len(self.len);
+        for (col, data) in self.columns.iter().zip(columns) {
+            v.insert(KeyPath::new(&col.name), data.clone());
+        }
         v
     }
 
@@ -1250,6 +1297,59 @@ mod tests {
         // The snapshot still reads its own (shorter) view.
         assert_eq!(before.len, 10_002);
         assert_eq!(after.len, 10_003);
+    }
+
+    #[test]
+    fn merged_view_extends_by_new_segments_only() {
+        let mut cat = Catalog::in_memory();
+        cat.put_i64_column("t", &(0..10_000).collect::<Vec<_>>());
+        let kp = KeyPath::new("val");
+        let values =
+            |v: &StructuredVector| v.column(&kp).unwrap().buffer().as_i64().unwrap().to_vec();
+        let mut expect: Vec<i64> = (0..10_000).collect();
+        assert!(cat.append_rows("t", &[vec![-1]]));
+        expect.push(-1);
+        let first = cat.load_vector("t").unwrap();
+        assert_eq!(values(&first), expect);
+        // A reader still holds the first merge: the next one must not
+        // extend that buffer under it.
+        let snap = cat.snapshot();
+        assert!(cat.append_rows("t", &[vec![-2], vec![-3]]));
+        let second = cat.load_vector("t").unwrap();
+        assert_eq!(values(&first), expect);
+        expect.extend([-2, -3]);
+        assert_eq!(values(&second), expect);
+        assert_eq!(values(&snap.load_vector("t").unwrap()), &expect[..10_001]);
+        // Once nobody else holds it, the next merge appends the new
+        // segment to the cached buffer in place instead of copying the
+        // resident rows again.
+        let ptr = second
+            .column(&kp)
+            .unwrap()
+            .buffer()
+            .as_i64()
+            .unwrap()
+            .as_ptr();
+        drop((first, second, snap));
+        assert!(cat.append_rows("t", &[vec![-4]]));
+        let third = cat.load_vector("t").unwrap();
+        expect.push(-4);
+        assert_eq!(values(&third), expect);
+        assert_eq!(
+            third
+                .column(&kp)
+                .unwrap()
+                .buffer()
+                .as_i64()
+                .unwrap()
+                .as_ptr(),
+            ptr
+        );
+        // Compaction starts a new base; the merge after it starts over.
+        assert!(cat.compact_table("t"));
+        assert!(cat.append_rows("t", &[vec![-5]]));
+        expect.push(-5);
+        assert_eq!(values(&cat.load_vector("t").unwrap()), expect);
     }
 
     #[test]
